@@ -12,33 +12,27 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import bruteforce
 from .charging import verify_charging
-from .constructions import FAMILIES, gen_min_tetra_prism
+from .constructions import FAMILIES, gen_min_tetra_prism, gen_random_rational
 from .distinct import best_common_face
 from .exact import AllDegenerate, DegenerateInput, PointSet
 from .pointfile import content_digest, load_point_file, write_point_file
 from .reporter import min_area_triangles, min_volume_tetrahedra
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ORACLE_SIZE_LIMIT = 30  # brute force above this is ~n^4 and is refused
+# The package reads no environment variable; perfbench/bench.py still clears
+# this former thread-count setting before it runs, so the name stays.
 THREADS_ENV = "SIMPLEXVOL_THREADS"
 
 
 def _rat(x) -> str:
     return str(Fraction(x))
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(report: dict) -> None:
@@ -108,7 +102,7 @@ def cmd_minvol(args) -> int:
         raise ValueError(f"minvol needs a 3D point file, got dim {ps.dim}")
     collect = args.report_witnesses or args.oracle or args.check_charging
     start = time.perf_counter()
-    report = min_volume_tetrahedra(ps, witnesses=collect, workers=args.threads)
+    report = min_volume_tetrahedra(ps, witnesses=collect)
     elapsed = time.perf_counter() - start
     results = {
         "min_volume": _rat(report.min_volume),
@@ -156,7 +150,6 @@ def cmd_minvol(args) -> int:
         "oracle": args.oracle,
         "report_witnesses": args.report_witnesses,
         "check_charging": args.check_charging,
-        "threads": args.threads,
     }, results, elapsed))
     return exit_code
 
@@ -167,7 +160,7 @@ def cmd_minarea(args) -> int:
         raise ValueError(f"minarea needs a 2D point file, got dim {ps.dim}")
     collect = args.report_witnesses or args.oracle
     start = time.perf_counter()
-    report = min_area_triangles(ps, witnesses=collect, workers=args.threads)
+    report = min_area_triangles(ps, witnesses=collect)
     elapsed = time.perf_counter() - start
     results = {
         "min_area": _rat(report.min_area),
@@ -194,7 +187,6 @@ def cmd_minarea(args) -> int:
     _emit(_document("minarea", ps, {
         "oracle": args.oracle,
         "report_witnesses": args.report_witnesses,
-        "threads": args.threads,
     }, results, elapsed))
     return exit_code
 
@@ -236,22 +228,30 @@ def cmd_count(args) -> int:
     return 0
 
 
+# family -> (points of size n, fast reporter, dimension)
+BENCH_FAMILIES = {
+    "prism3d": (lambda n: gen_min_tetra_prism(n).points, min_volume_tetrahedra, 3),
+    "random2d": (lambda n: gen_random_rational(n, 2, seed=0, bound=10 ** 4),
+                 min_area_triangles, 2),
+}
+
+
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:
         raise ValueError("empty size list")
-    if args.family != "prism3d":
+    if args.family not in BENCH_FAMILIES:
         raise ValueError(f"unsupported benchmark family {args.family!r}")
+    build, reporter, dim = BENCH_FAMILIES[args.family]
     seconds = []
     oracle_seconds = []
     counts = []
     for n in sizes:
-        built = gen_min_tetra_prism(n)
-        ps = built.points
+        ps = build(n)
         best = None
         for _ in range(max(1, args.repeat)):
             start = time.perf_counter()
-            report = min_volume_tetrahedra(ps, witnesses=False, workers=args.threads)
+            report = reporter(ps, witnesses=False)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         seconds.append(best)
@@ -263,7 +263,7 @@ def cmd_bench(args) -> int:
                 oracle_seconds.append(None)
             else:
                 start = time.perf_counter()
-                bruteforce.min_volume_simplices(ps, 3)
+                bruteforce.min_volume_simplices(ps, dim)
                 oracle_seconds.append(time.perf_counter() - start)
         else:
             oracle_seconds.append(None)
@@ -278,7 +278,6 @@ def cmd_bench(args) -> int:
     _emit(_document("bench", None, {
         "family": args.family,
         "repeat": args.repeat,
-        "threads": args.threads,
     }, results, sum(seconds)))
     return 0
 
@@ -320,14 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cross-check against the brute-force scan")
     minvol.add_argument("--report-witnesses", action="store_true")
     minvol.add_argument("--check-charging", action="store_true")
-    minvol.add_argument("--threads", type=int, default=_default_threads())
     minvol.set_defaults(handler=cmd_minvol)
 
     minarea = sub.add_parser("minarea", help="report all minimum-area triangles")
     minarea.add_argument("input")
     minarea.add_argument("--oracle", action="store_true")
     minarea.add_argument("--report-witnesses", action="store_true")
-    minarea.add_argument("--threads", type=int, default=_default_threads())
     minarea.set_defaults(handler=cmd_minarea)
 
     distinct = sub.add_parser("distinct", help="count distinct simplex volumes")
@@ -347,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", required=True, help="comma-separated, e.g. 64,128,256")
     bench.add_argument("--repeat", type=int, default=1)
     bench.add_argument("--with-oracle", action="store_true")
-    bench.add_argument("--threads", type=int, default=_default_threads())
     bench.set_defaults(handler=cmd_bench)
 
     return parser

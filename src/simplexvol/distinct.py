@@ -17,6 +17,7 @@ from .exact import (
     DegenerateInput,
     DimensionMismatch,
     PointSet,
+    _det,
     hyperplane_key,
     integer_coordinates,
     primitive_vector,
@@ -202,41 +203,13 @@ def distinct_areas_from_point(ps: PointSet, p1: int) -> DistinctAreaResult:
     )
 
 
-def _det_int(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _face_nondegenerate(coords, face) -> bool:
     if len(face) == 1:
         return True
     base = coords[face[0]]
     edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in face[1:]]
     gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
-    return _det_int(gram) != 0
+    return _det(gram) != 0
 
 
 def _distinct_apex_volumes(coords, face, n) -> set[int]:
@@ -247,7 +220,7 @@ def _distinct_apex_volumes(coords, face, n) -> set[int]:
     for q in range(n):
         if q in face:
             continue
-        det = _det_int(edges + [tuple(c - b for c, b in zip(coords[q], base))])
+        det = _det(edges + [tuple(c - b for c, b in zip(coords[q], base))])
         if det:
             seen.add(abs(det))
     return seen

@@ -13,6 +13,14 @@ coordinates:
   plane's points by the wedge moment relative to a segment direction gives,
   per spanned line, the shortest segments along it and the nearest off-line
   points (adjacent moment levels).
+* For a whole 2D point set a rotating sweep replaces the bucketing: the
+  points are kept in order of their moment about a direction that turns
+  through the directions of all point pairs by angle (the allowable sequence
+  of the set, the primal form of the walk through the dual line
+  arrangement).  At each direction every spanned line of it is a contiguous
+  block of the order, and the neighbouring runs of equal moment are its
+  nearest off-line points, so all lines are visited in O(n^2 log n) time,
+  with one record per pair of points.
 
 A minimum-volume tetrahedron arises as (minimum-area triangle of a plane) x
 (nearest point on one side) once for each of its four faces, so the exact
@@ -25,10 +33,10 @@ rationals recovered from a realized witness.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .exact import (
@@ -261,47 +269,20 @@ class _Scan:
     best_num: int | None = None
     best_den: int | None = None
     sum_products: int = 0
-    n_pairs: int = 0
     n_bases: int = 0          # spanned planes (3D) / spanned lines (2D) scanned
     realized: tuple | None = None
-    payloads: list = None
-
-    def __post_init__(self):
-        if self.payloads is None:
-            self.payloads = []
+    payloads: list = field(default_factory=list)
 
     def offer(self, num, den, products, realized, payload):
         if self.best_num is None or num * self.best_den < self.best_num * den:
             self.best_num, self.best_den = num, den
             self.sum_products = products
-            self.n_pairs = 1
             self.realized = realized
             self.payloads = [payload] if payload is not None else []
         elif num * self.best_den == self.best_num * den:
             self.sum_products += products
-            self.n_pairs += 1
             if payload is not None:
                 self.payloads.append(payload)
-
-
-def _merge_scans(parts: list[_Scan]) -> _Scan:
-    out = _Scan()
-    for part in parts:
-        out.n_bases += part.n_bases
-        if part.best_num is None:
-            continue
-        if (out.best_num is None
-                or part.best_num * out.best_den < out.best_num * part.best_den):
-            out.best_num, out.best_den = part.best_num, part.best_den
-            out.sum_products = part.sum_products
-            out.n_pairs = part.n_pairs
-            out.realized = part.realized
-            out.payloads = list(part.payloads)
-        elif part.best_num * out.best_den == out.best_num * part.best_den:
-            out.sum_products += part.sum_products
-            out.n_pairs += part.n_pairs
-            out.payloads.extend(part.payloads)
-    return out
 
 
 def _scan_directions_3d(coords, dirs, collect) -> _Scan:
@@ -342,52 +323,112 @@ def _scan_directions_3d(coords, dirs, collect) -> _Scan:
     return scan
 
 
-def _scan_directions_2d(coords, dirs, collect) -> _Scan:
+def _angle_records(xy):
+    """Records (key, d0, d1, a, b), one per pair a < b of the (x, y)-sorted
+    distinct points xy, sorted by the angle of the primitive direction d of
+    b - a, which has d0 > 0 or is (0, 1).  The key floor(d1 * span^2 / d0) is
+    exact: slopes with denominators at most span differ by at least
+    1 / span^2.  The vertical gets span^3 + 1, above every other key."""
+    span = max(xy[-1][0] - xy[0][0], max(y for _, y in xy) - min(y for _, y in xy))
+    k = span * span
+    vertical = span * k + 1
+    gcd = math.gcd
+    records = []
+    append = records.append
+    for a in range(len(xy) - 1):
+        ax, ay = xy[a]
+        for b in range(a + 1, len(xy)):
+            bx, by = xy[b]
+            d0, d1 = bx - ax, by - ay
+            g = gcd(d0, d1)
+            d0 //= g
+            d1 //= g
+            append((d1 * k // d0 if d0 else vertical, d0, d1, a, b))
+    records.sort()
+    return records
+
+
+def _sweep_2d(xy, idx, records, collect) -> _Scan:
+    """Rotating sweep over the (x, y)-sorted distinct points xy, with idx[s]
+    the input indices at point s, through the directions of `records`.
+
+    The order holds the points by moment m = d0*y - d1*x about a direction
+    just past the last one passed; (x, y) is that order just past the
+    vertical.  Just before d, each line of direction d is a contiguous block
+    of the order sorted by t = d . p, and the runs of equal moment beside it
+    are its nearest off-line points.  Passing d reverses every block, so the
+    order must end reversed.  A broken invariant raises RuntimeError.
+    """
     scan = _Scan()
-    for d in dirs:
-        d0, d1 = d
+    n = len(xy)
+    weight = [len(i) for i in idx]
+    order = list(range(n))
+    pos = list(range(n))
+    for _, group in groupby(records, key=itemgetter(0)):
+        lines: dict[int, set[int]] = {}
+        for _, d0, d1, a, b in group:
+            x, y = xy[a]
+            members = lines.setdefault(d0 * y - d1 * x, set())
+            members.add(a)
+            members.add(b)
         dd = d0 * d0 + d1 * d1
-        levels: dict[int, list[int]] = {}
-        for i, p in enumerate(coords):
-            levels.setdefault(d0 * p[1] - d1 * p[0], []).append(i)
-        if len(levels) < 2:
-            continue
-        ms = sorted(levels)
-        for pos, m in enumerate(ms):
-            pts = levels[m]
-            if len(pts) < 2:
-                continue
-            run = _shortest_runs(coords, pts, d)
-            if run is None:
-                continue
+        blocks = []
+        for m, members in lines.items():
+            block = sorted(members, key=pos.__getitem__)
+            lo, hi = pos[block[0]], pos[block[-1]]
+            if hi - lo + 1 != len(block):
+                raise RuntimeError("rotating sweep: a line's points are not contiguous")
+            blocks.append((lo, hi))
             scan.n_bases += 1
-            min_gap, seg_pairs = run
-            for m2 in (ms[pos - 1] if pos > 0 else None,
-                       ms[pos + 1] if pos + 1 < len(ms) else None):
-                if m2 is None:
+            ts = [d0 * xy[c][0] + d1 * xy[c][1] for c in block]
+            min_gap = None
+            segs: list[int] = []
+            for u in range(len(block) - 1):
+                gap = ts[u + 1] - ts[u]
+                if gap <= 0:
+                    raise RuntimeError("rotating sweep: a line's points are out of order")
+                if min_gap is None or gap < min_gap:
+                    min_gap, segs = gap, [u]
+                elif gap == min_gap:
+                    segs.append(u)
+            seg_count = 0
+            for u in segs:
+                seg_count += weight[block[u]] * weight[block[u + 1]]
+            seg_i, seg_j = idx[block[segs[0]]][0], idx[block[segs[0] + 1]][0]
+            for side, step, q in ((0, -1, lo - 1), (1, 1, hi + 1)):
+                if not 0 <= q < n:
                     continue
-                near = levels[m2]
+                x, y = xy[order[q]]
+                m2 = d0 * y - d1 * x
+                if (m2 - m) * step <= 0:
+                    raise RuntimeError("rotating sweep: the order is not sorted by moment")
+                run = [order[q]]
+                near_count = weight[order[q]]
+                q += step
+                while 0 <= q < n:
+                    x, y = xy[order[q]]
+                    if d0 * y - d1 * x != m2:
+                        break
+                    run.append(order[q])
+                    near_count += weight[order[q]]
+                    q += step
                 dm = m - m2
-                # area^2 = seg_sq * dist_sq / 4 = gap^2 dm^2 / (4 dd^2)
-                num = min_gap * min_gap * dm * dm
-                den = 4 * dd * dd
                 payload = None
                 if collect:
-                    payload = (d, dd, pts, min_gap, seg_pairs, dm, near)
-                scan.offer(num, den, len(seg_pairs) * len(near),
-                           (seg_pairs[0], near[0]), payload)
+                    pairs = [(i, j) for u in segs
+                             for i in idx[block[u]] for j in idx[block[u + 1]]]
+                    payload = ((d0, d1), m, side, dd, [i for c in block for i in idx[c]],
+                               min_gap, pairs, dm, [i for c in run for i in idx[c]])
+                # area^2 = seg_sq * dist_sq / 4 = gap^2 dm^2 / (4 dd^2)
+                scan.offer(min_gap * min_gap * dm * dm, 4 * dd * dd, seg_count * near_count,
+                           (seg_i, seg_j, idx[run[0]][0]), payload)
+        for lo, hi in blocks:
+            order[lo:hi + 1] = reversed(order[lo:hi + 1])
+            for q in range(lo, hi + 1):
+                pos[order[q]] = q
+    if order != list(range(n - 1, -1, -1)):
+        raise RuntimeError("rotating sweep: the order did not end reversed")
     return scan
-
-
-def _run_chunks(scan_fn, coords, dirs, collect, workers):
-    if workers > 1 and len(dirs) > 2 * workers:
-        size = max(1, len(dirs) // (workers * 8))
-        parts = [dirs[i:i + size] for i in range(0, len(dirs), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scans = list(pool.map(
-                lambda part: scan_fn(coords, part, collect), parts))
-        return _merge_scans(scans)
-    return scan_fn(coords, dirs, collect)
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +449,8 @@ def shortest_segments_on_line(ps: PointSet, indices: Iterable[int]) -> SegmentRu
         if not key.contains(ps.points[i]):
             raise DegenerateInput(f"point {i} is not on the common line")
     d = key.direction
+    min_gap, pairs = _shortest_runs(ps.points, idx, d)
     dd = sum(c * c for c in d)
-    groups: dict[Fraction, list[int]] = {}
-    for i in idx:
-        t = sum(dc * pc for dc, pc in zip(d, ps.points[i]))
-        groups.setdefault(t, []).append(i)
-    order = sorted(groups)
-    min_gap = None
-    pairs: list[tuple[int, int]] = []
-    for t1, t2 in zip(order, order[1:]):
-        gap = t2 - t1
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-            pairs = [(i, j) for i in groups[t1] for j in groups[t2]]
-        elif gap == min_gap:
-            pairs.extend((i, j) for i in groups[t1] for j in groups[t2])
-    if min_gap is None:
-        raise AllDegenerate("all points coincide; no segment has positive length")
     pairs = sorted(tuple(sorted(p)) for p in pairs)
     return SegmentRun(min_length_sq=min_gap * min_gap / dd, count=len(pairs),
                       pairs=tuple(pairs))
@@ -540,14 +566,14 @@ def _collect_directions_3d(coords):
 
 
 def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
-                          max_witnesses: int | None = None,
-                          workers: int = 1) -> MinVolumeReport:
+                          max_witnesses: int | None = None) -> MinVolumeReport:
     """Report all tetrahedra of minimum nonzero volume of a 3D point set.
 
     With witnesses=False only the exact minimum, the exact count and the
-    aggregate face products are computed, with O(1) extra memory; witness
-    tetrahedra and the contributing (plane, slab) pairs are materialized
-    otherwise.  The result does not depend on workers.
+    aggregate face products are computed; witness tetrahedra and the
+    contributing (plane, slab) pairs are materialized otherwise.  Either way
+    the set of primitive plane normals is held at once, which is O(n^3)
+    memory on points in general position.
     """
     if ps.dim != 3:
         raise DimensionMismatch(f"need a 3D point set, got dim {ps.dim}")
@@ -557,7 +583,7 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
     dirs = _collect_directions_3d(coords)
     if not dirs:
         raise AllDegenerate("all points are collinear")
-    merged = _run_chunks(_scan_directions_3d, coords, dirs, witnesses, max(1, workers))
+    merged = _scan_directions_3d(coords, dirs, witnesses)
     if merged.best_num is None:
         raise AllDegenerate("all points are coplanar")
 
@@ -618,34 +644,35 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
 
 
 def min_area_triangles(ps: PointSet, witnesses: bool = True,
-                       max_witnesses: int | None = None,
-                       workers: int = 1) -> MinAreaReport:
+                       max_witnesses: int | None = None) -> MinAreaReport:
     """Report all triangles of minimum nonzero area of a 2D point set.
 
     Primal analogue of the 3D reporter: for every spanned line, shortest
     segments are paired with the nearest off-line points per side; every
-    minimal triangle arises exactly three times.
+    minimal triangle arises exactly three times.  The lines are visited by a
+    rotating sweep over the order of the points, the allowable-sequence form
+    of the walk through the dual line arrangement (Edelsbrunner, O'Rourke
+    and Seidel), after coincident points are merged.
+    Time is O(n^2 log n), for sorting the pair directions by angle; memory is
+    O(n^2) for one record per pair of distinct points, plus the witnesses
+    when they are requested.
     """
     if ps.dim != 2:
         raise DimensionMismatch(f"need a 2D point set, got dim {ps.dim}")
     if len(ps) < 3:
         raise AllDegenerate("fewer than three points cannot span a triangle")
     coords, scale = integer_coordinates(ps)
-    n = len(coords)
-    dirs = set()
-    for i, j in combinations(range(n), 2):
-        diff = (coords[j][0] - coords[i][0], coords[j][1] - coords[i][1])
-        if diff != (0, 0):
-            dirs.add(primitive_vector(diff))
-    if not dirs:
+    sites: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(coords):
+        sites.setdefault(p, []).append(i)
+    if len(sites) < 2:
         raise AllDegenerate("all points coincide")
-    merged = _run_chunks(_scan_directions_2d, coords, sorted(dirs), witnesses,
-                         max(1, workers))
+    xy = sorted(sites)
+    merged = _sweep_2d(xy, [sites[p] for p in xy], _angle_records(xy), witnesses)
     if merged.best_num is None:
         raise AllDegenerate("all points are collinear")
 
-    (seg_i, seg_j), apex = merged.realized
-    pa, pb, pc = coords[seg_i], coords[seg_j], coords[apex]
+    pa, pb, pc = (coords[i] for i in merged.realized)
     cross = (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
     min_area = Fraction(abs(cross), 2 * scale ** 2)
 
@@ -655,7 +682,9 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True,
     if witnesses:
         wit_set: set[tuple[int, int, int]] = set()
         contrib = []
-        for (d, dd, pts, min_gap, seg_pairs, dm, near) in merged.payloads:
+        # contributing pairs are listed by (direction, moment, side)
+        for (_, _, _, dd, pts, min_gap, seg_pairs, dm, near) in sorted(
+                merged.payloads, key=itemgetter(0, 1, 2)):
             for (a, b) in seg_pairs:
                 for q in near:
                     wit_set.add(tuple(sorted((a, b, q))))

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction as F
 
 import simplexvol.bruteforce as bruteforce
-from simplexvol import parse_point_file
+from simplexvol import gen_random_rational, parse_point_file
 from simplexvol.bruteforce import MinSimplexResult
 from simplexvol.cli import main
 
@@ -112,10 +112,9 @@ def test_minvol_deterministic_output(tmp_path, capsys):
         tmp_path, "pts.txt",
         "dim 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n2 3 1\n1 1 4\n")
     _, out1, _ = run(capsys, "minvol", path, "--report-witnesses")
-    _, out2, _ = run(capsys, "minvol", path, "--report-witnesses", "--threads", "3")
+    _, out2, _ = run(capsys, "minvol", path, "--report-witnesses")
     doc1, doc2 = report_of(out1), report_of(out2)
     doc1.pop("timing_seconds"), doc2.pop("timing_seconds")
-    doc1["parameters"].pop("threads"), doc2["parameters"].pop("threads")
     assert doc1 == doc2
 
 
@@ -127,6 +126,8 @@ def test_minarea(tmp_path, capsys):
     assert doc["results"]["min_area"] == "1/2"
     assert doc["results"]["count"] == 4
     assert doc["results"]["oracle"]["match"] is True
+    assert doc["schema_version"] == 2
+    assert "threads" not in doc["parameters"]
 
 
 def test_minarea_collinear_exits_3(tmp_path, capsys):
@@ -179,6 +180,24 @@ def test_bench_reports_slope(capsys):
     assert isinstance(doc["results"]["loglog_slope"], float)
 
 
+def test_bench_random2d(capsys):
+    code, out, _ = run(capsys, "bench", "--family", "random2d", "--sizes", "6,12",
+                       "--with-oracle")
+    assert code == 0
+    doc = report_of(out)
+    assert doc["parameters"]["family"] == "random2d"
+    assert doc["results"]["counts"] == [
+        bruteforce.min_volume_simplices(gen_random_rational(n, 2, 0, bound=10 ** 4), 2).count
+        for n in (6, 12)]
+    assert None not in doc["results"]["oracle_seconds"]
+    assert isinstance(doc["results"]["loglog_slope"], float)
+
+
+def test_bench_unknown_family_exits_2(capsys):
+    code, _, _ = run(capsys, "bench", "--family", "lattice2d", "--sizes", "8")
+    assert code == 2
+
+
 def test_bench_empty_sizes_exits_2(capsys):
     code, _, _ = run(capsys, "bench", "--sizes", "")
     assert code == 2
@@ -191,12 +210,3 @@ def test_bench_oracle_refused_above_limit(capsys):
     assert doc["results"]["oracle_seconds"][0] is not None
     assert doc["results"]["oracle_seconds"][1] is None
     assert "refusing" in err
-
-
-def test_threads_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SIMPLEXVOL_THREADS", "2")
-    path = write_points(tmp_path, "tetra.txt",
-                        "dim 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
-    code, out, _ = run(capsys, "minvol", path)
-    assert code == 0
-    assert report_of(out)["parameters"]["threads"] == 2
