@@ -14,7 +14,13 @@ from .bruteforce import (
     rich_lines,
     spanned_planes,
 )
-from .charging import ChargeRecord, ChargingCheck, charge_tetrahedron, verify_charging
+from .charging import (
+    ChargeRecord,
+    ChargingBoundExceeded,
+    ChargingCheck,
+    charge_tetrahedron,
+    verify_charging,
+)
 from .constructions import (
     ConstructionOutput,
     gen_distinct_volume_lines,

@@ -19,6 +19,7 @@ from .exact import (
     IndexSimplex,
     LineKey,
     PointSet,
+    _det,
     integer_coordinates,
     line_key,
     plane_key,
@@ -71,40 +72,10 @@ def _int_squared_volume_numerator(coords, idx, k, d):
     base = coords[idx[0]]
     edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in idx[1:]]
     if k == d:
-        det = _idet(edges)
+        det = _det(edges)
         return det * det
     gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
-    return _idet(gram)
-
-
-def _idet(rows) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # Bareiss, exact integer division
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _det(gram)
 
 
 def min_volume_simplices(ps: PointSet, k: int,
@@ -178,7 +149,7 @@ def count_simplices_with_volume(ps: PointSet, target: Fraction, k: int,
         if k == d:
             base = coords[idx[0]]
             edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in idx[1:]]
-            val = abs(_idet(edges))
+            val = abs(_det(edges))
         else:
             val = _int_squared_volume_numerator(coords, idx, k, d)
         if val * want_den == want_num:
@@ -198,7 +169,7 @@ def distinct_volumes(ps: PointSet) -> DistinctVolumeReport:
     for idx in combinations(range(n), d + 1):
         base = coords[idx[0]]
         edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in idx[1:]]
-        det = abs(_idet(edges))
+        det = abs(_det(edges))
         if det:
             seen.add(det)
     if not seen:

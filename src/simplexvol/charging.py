@@ -5,6 +5,11 @@ faces adjacent to a diameter (a longest edge), with deterministic lexicographic
 tie-breaking.  Over the minimum-volume witnesses of any point set, no triangle
 can absorb more than four charges, and no (triangle, side) pair more than two;
 verify_charging measures the observed maxima.
+
+Charging runs on the denominator-cleared integer coordinates of the set
+(exact.integer_coordinates): edge lengths, face areas and sides are integer
+dot and cross products, and only the three measures of a ChargeRecord are
+divided back into Fractions.
 """
 
 from __future__ import annotations
@@ -17,15 +22,16 @@ from typing import Iterable, Sequence
 from .bruteforce import min_volume_simplices
 from .exact import (
     DegenerateInput,
+    GeometryError,
     IndexSimplex,
     PointSet,
     as_simplex,
-    plane_key,
-    squared_distance_point_plane,
-    squared_volume,
+    integer_coordinates,
+    leading_sign,
 )
 
-__all__ = ["ChargeRecord", "ChargingCheck", "charge_tetrahedron", "verify_charging"]
+__all__ = ["ChargeRecord", "ChargingCheck", "ChargingBoundExceeded",
+           "charge_tetrahedron", "verify_charging"]
 
 
 @dataclass(frozen=True)
@@ -46,14 +52,59 @@ class ChargingCheck:
     n_witnesses: int
 
 
-def _sq_dist(p, q) -> Fraction:
-    return sum((a - b) ** 2 for a, b in zip(p, q))
+class ChargingBoundExceeded(GeometryError):
+    """Over four charges fell on one face, or over two on one (face, side)."""
 
 
-def _sq_dist_point_line(ps: PointSet, p: int, a: int, b: int) -> Fraction:
-    # 4 * area^2 / base^2
-    area_sq = squared_volume(ps, (p, a, b))
-    return 4 * area_sq / _sq_dist(ps.points[a], ps.points[b])
+def _sq(v) -> int:
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+
+
+def _normal(p, q, r):
+    """(q - p) x (r - p) for integer points."""
+    (u0, u1, u2), (v0, v1, v2) = ([b - a for a, b in zip(p, x)] for x in (q, r))
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
+def _charge(ps: PointSet, coords, scale: int, tetra: Iterable[int]) -> ChargeRecord:
+    """charge_tetrahedron on the cleared coordinates coords = scale * points.
+
+    Lengths and areas are compared as integer squared lengths and |cross|^2;
+    the side is the sign of normal . (apex - face[0]) with the normal turned
+    to its canonical key orientation (exact.leading_sign).  Only the three
+    measures of the record are divided back into Fractions.
+    """
+    tet = as_simplex(tetra, len(ps))
+    if len(tet) != 4 or ps.dim != 3:
+        raise DegenerateInput("charging needs a tetrahedron in a 3D point set")
+    sq_len = {(a, b): _sq([y - x for x, y in zip(coords[a], coords[b])])
+              for a, b in combinations(tet, 2)}
+    max_len = max(sq_len.values())
+    diameters = [e for e, length in sq_len.items() if length == max_len]
+    best = None
+    for f in combinations(tet, 3):
+        if any(set(e) <= set(f) for e in diameters):
+            normal = _normal(*(coords[i] for i in f))
+            area = _sq(normal)
+            if best is None or area > best[1]:
+                best = (f, area, normal)
+    face, area, normal = best
+    apex = next(i for i in tet if i not in face)
+    det = sum(c * (x - y) for c, x, y in zip(normal, coords[apex], coords[face[0]]))
+    if det == 0:
+        raise DegenerateInput(f"tetrahedron {tet} is degenerate")
+    diameter = min(e for e in diameters if set(e) <= set(face))
+    third = next(i for i in face if i not in diameter)
+    s2 = scale * scale
+    return ChargeRecord(
+        tetra=tet,
+        face=face,
+        side="above" if det * leading_sign(normal) > 0 else "below",
+        diameter=diameter,
+        x0_sq=Fraction(max_len, s2),
+        y0_sq=Fraction(_sq(_normal(*(coords[i] for i in diameter + (third,)))), max_len * s2),
+        z0_sq=Fraction(det * det, area * s2),
+    )
 
 
 def charge_tetrahedron(ps: PointSet, tetra: Iterable[int]) -> ChargeRecord:
@@ -63,40 +114,7 @@ def charge_tetrahedron(ps: PointSet, tetra: Iterable[int]) -> ChargeRecord:
     lexicographically smallest index tuple, so the assignment is
     deterministic.
     """
-    tet = as_simplex(tetra, len(ps))
-    if len(tet) != 4 or ps.dim != 3:
-        raise DegenerateInput("charging needs a tetrahedron in a 3D point set")
-    if squared_volume(ps, tet) == 0:
-        raise DegenerateInput(f"tetrahedron {tet} is degenerate")
-
-    edges = sorted(combinations(tet, 2))
-    max_len = max(_sq_dist(ps.points[a], ps.points[b]) for a, b in edges)
-    diameters = [e for e in edges if _sq_dist(ps.points[e[0]], ps.points[e[1]]) == max_len]
-
-    faces = [f for f in combinations(tet, 3)
-             if any(set(e) <= set(f) for e in diameters)]
-    best_face = None
-    best_area = None
-    for f in sorted(faces):
-        area = squared_volume(ps, f)
-        if best_area is None or area > best_area:
-            best_face, best_area = f, area
-    face = best_face
-    diameter = min(e for e in diameters if set(e) <= set(face))
-    apex = next(i for i in tet if i not in face)
-    third = next(i for i in face if i not in diameter)
-
-    key = plane_key(ps, face)
-    side = "above" if key.side_of(ps.points[apex]) > 0 else "below"
-    return ChargeRecord(
-        tetra=tet,
-        face=face,
-        side=side,
-        diameter=diameter,
-        x0_sq=max_len,
-        y0_sq=_sq_dist_point_line(ps, third, diameter[0], diameter[1]),
-        z0_sq=squared_distance_point_plane(ps.points[apex], key),
-    )
+    return _charge(ps, *integer_coordinates(ps), tetra)
 
 
 def verify_charging(ps: PointSet,
@@ -105,15 +123,16 @@ def verify_charging(ps: PointSet,
     of charges per face and per (face, side).
 
     When witnesses is None the minimum-volume set is computed by the
-    brute-force oracle.  Raises if the four-per-face / two-per-side bounds
-    are exceeded.
+    brute-force oracle.  Raises ChargingBoundExceeded if the four-per-face /
+    two-per-side bounds are exceeded.
     """
     if witnesses is None:
         witnesses = min_volume_simplices(ps, 3).witnesses
+    coords, scale = integer_coordinates(ps)
     per_face: dict[tuple[int, int, int], int] = {}
     per_side: dict[tuple[tuple[int, int, int], str], int] = {}
     for tet in witnesses:
-        record = charge_tetrahedron(ps, tet)
+        record = _charge(ps, coords, scale, tet)
         per_face[record.face] = per_face.get(record.face, 0) + 1
         key = (record.face, record.side)
         per_side[key] = per_side.get(key, 0) + 1
@@ -123,7 +142,7 @@ def verify_charging(ps: PointSet,
         n_witnesses=len(witnesses),
     )
     if check.max_per_face > 4 or check.max_per_face_side > 2:
-        raise AssertionError(
+        raise ChargingBoundExceeded(
             f"charging bound exceeded: {check.max_per_face} per face, "
             f"{check.max_per_face_side} per side")
     return check

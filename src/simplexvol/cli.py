@@ -4,7 +4,7 @@ scaling benchmark.
 Reports are JSON documents on stdout with every numeric result serialized as
 an exact rational string; wall-clock timings are the only floating-point
 fields.  Exit codes: 0 success, 2 usage or constraint error, 3 degenerate
-input, 4 oracle mismatch.
+input, 4 verification failed (oracle mismatch or charging bound exceeded).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import bruteforce
-from .charging import verify_charging
+from .charging import ChargingBoundExceeded, verify_charging
 from .constructions import FAMILIES, gen_min_tetra_prism, gen_random_rational
 from .distinct import best_common_face
 from .exact import AllDegenerate, DegenerateInput, PointSet
@@ -53,6 +53,17 @@ def _document(command: str, ps: PointSet | None, parameters: dict,
 
 def _plane_json(key) -> dict:
     return {"normal": list(key.normal), "offset": key.offset}
+
+
+def _oracle_check(ps: PointSet, k: int, min_sq, report) -> dict:
+    """Compare a reporter's minimum, count and witnesses with the brute force."""
+    oracle = bruteforce.min_volume_simplices(ps, k)
+    return {
+        "match": (min_sq == oracle.min_squared_volume and report.count == oracle.count
+                  and tuple(report.witnesses) == tuple(oracle.witnesses)),
+        "min_squared_volume": _rat(oracle.min_squared_volume),
+        "count": oracle.count,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +137,8 @@ def cmd_minvol(args) -> int:
             }
             for summary, slab in report.contributing
         ]
-    exit_code = 0
     if args.oracle:
-        oracle = bruteforce.min_volume_simplices(ps, 3)
-        match = (report.min_volume_sq == oracle.min_squared_volume
-                 and report.count == oracle.count
-                 and tuple(report.witnesses) == tuple(oracle.witnesses))
-        results["oracle"] = {
-            "match": match,
-            "min_squared_volume": _rat(oracle.min_squared_volume),
-            "count": oracle.count,
-        }
-        if not match:
-            exit_code = 4
+        results["oracle"] = _oracle_check(ps, 3, report.min_volume_sq, report)
     if args.check_charging:
         check = verify_charging(ps, witnesses=report.witnesses)
         results["charging"] = {
@@ -151,7 +151,7 @@ def cmd_minvol(args) -> int:
         "report_witnesses": args.report_witnesses,
         "check_charging": args.check_charging,
     }, results, elapsed))
-    return exit_code
+    return 4 if args.oracle and not results["oracle"]["match"] else 0
 
 
 def cmd_minarea(args) -> int:
@@ -171,24 +171,13 @@ def cmd_minarea(args) -> int:
     }
     if args.report_witnesses:
         results["witnesses"] = [list(w) for w in report.witnesses]
-    exit_code = 0
     if args.oracle:
-        oracle = bruteforce.min_volume_simplices(ps, 2)
-        match = (report.min_area_sq == oracle.min_squared_volume
-                 and report.count == oracle.count
-                 and tuple(report.witnesses) == tuple(oracle.witnesses))
-        results["oracle"] = {
-            "match": match,
-            "min_squared_volume": _rat(oracle.min_squared_volume),
-            "count": oracle.count,
-        }
-        if not match:
-            exit_code = 4
+        results["oracle"] = _oracle_check(ps, 2, report.min_area_sq, report)
     _emit(_document("minarea", ps, {
         "oracle": args.oracle,
         "report_witnesses": args.report_witnesses,
     }, results, elapsed))
-    return exit_code
+    return 4 if args.oracle and not results["oracle"]["match"] else 0
 
 
 def cmd_distinct(args) -> int:
@@ -354,6 +343,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except ChargingBoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (AllDegenerate, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -35,6 +35,8 @@ __all__ = [
     "squared_distance_point_plane",
     "integer_coordinates",
     "primitive_vector",
+    "leading_sign",
+    "integer_hyperplane_key",
 ]
 
 # Arbitrary-precision rational scalar.  Fraction is always reduced to lowest
@@ -270,15 +272,31 @@ def squared_volume(ps: PointSet, simplex: Iterable[int]) -> Fraction:
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     """Reduce an integer vector by its gcd and make the first nonzero entry
     positive.  Raises on the zero vector."""
-    g = math.gcd(*vec) if len(vec) > 1 else abs(vec[0])
+    g = math.gcd(*vec) * leading_sign(vec)
     if g == 0:
         raise DegenerateInput("zero vector has no direction")
-    for c in vec:
-        if c != 0:
-            if c < 0:
-                g = -g
-            break
     return tuple(c // g for c in vec)
+
+
+def leading_sign(vec: Sequence[int]) -> int:
+    """Sign of the first nonzero entry (0 for the zero vector): the
+    orientation that primitive vectors and hyperplane keys make positive."""
+    for c in vec:
+        if c:
+            return 1 if c > 0 else -1
+    return 0
+
+
+def integer_hyperplane_key(normal: Sequence[int], offset: int,
+                           scale: int = 1) -> HyperplaneKey:
+    """Canonical key of the hyperplane normal . (scale * x) == offset, for an
+    integer normal and offset: (scale * normal, offset) reduced by its gcd and
+    by the leading sign of the normal."""
+    normal = [scale * c for c in normal]
+    g = math.gcd(*normal, offset) * leading_sign(normal)
+    if g == 0:
+        raise DegenerateInput("zero normal spans no hyperplane")
+    return HyperplaneKey(normal=tuple(c // g for c in normal), offset=offset // g)
 
 
 def _integerize(values: Sequence[Fraction]) -> tuple[int, ...]:
@@ -308,14 +326,7 @@ def hyperplane_key(ps: PointSet, indices: Iterable[int]) -> HyperplaneKey:
         raise DegenerateInput(f"points {idx} are affinely dependent")
     offset = sum(n * c for n, c in zip(normal, base))
     ints = _integerize([Fraction(c) for c in normal] + [Fraction(offset)])
-    g = math.gcd(*ints)
-    for c in ints[:-1]:
-        if c != 0:
-            if c < 0:
-                g = -g
-            break
-    ints = tuple(c // g for c in ints)
-    return HyperplaneKey(normal=ints[:-1], offset=ints[-1])
+    return integer_hyperplane_key(ints[:-1], ints[-1])
 
 
 def plane_key(ps: PointSet, indices: Iterable[int]) -> HyperplaneKey:

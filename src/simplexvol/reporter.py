@@ -46,7 +46,9 @@ from .exact import (
     HyperplaneKey,
     LineKey,
     PointSet,
+    _det,
     integer_coordinates,
+    integer_hyperplane_key,
     line_key,
     plane_key,
     primitive_vector,
@@ -590,11 +592,7 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
     tri, apex = merged.realized
     i, j, k = tri
     base = coords[i]
-    rows = [tuple(c - b for c, b in zip(coords[x], base)) for x in (j, k, apex)]
-    (r0, r1, r2) = rows
-    det = (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-           - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-           + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+    det = _det([tuple(c - b for c, b in zip(coords[x], base)) for x in (j, k, apex)])
     min_volume = Fraction(abs(det), 6 * scale ** 3)
 
     count = merged.sum_products // 4
@@ -608,8 +606,11 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
             for (a, b, c) in tri_wits:
                 for q in near:
                     wit_set.add(tuple(sorted((a, b, c, q))))
-            key = plane_key(ps, tri_wits[0])
-            side = "above" if key.side_of(ps.points[near[0]]) > 0 else "below"
+            # the plane is g . P == t on the scaled points with g primitive and
+            # leading entry positive, so the near level t - dt is above iff dt < 0
+            t = sum(x * y for x, y in zip(g, coords[members[0]]))
+            key = integer_hyperplane_key(g, t, scale)
+            side = "above" if dt < 0 else "below"
             summary = PlaneSummary(
                 key=key,
                 incident=tuple(sorted(members)),

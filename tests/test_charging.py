@@ -1,7 +1,10 @@
 """Charging scheme: diameter-adjacent max-area face selection and the
 per-face / per-side bounds over minimum-volume witnesses."""
 
+import itertools
 import math
+import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -11,6 +14,9 @@ from simplexvol import (
     charge_tetrahedron,
     gen_min_tetra_prism,
     min_volume_simplices,
+    plane_key,
+    squared_distance_point_plane,
+    squared_volume,
     verify_charging,
 )
 from helpers import random_spanning
@@ -66,3 +72,58 @@ def test_bounds_on_random_sets():
         assert check.max_per_face <= 4
         assert check.max_per_face_side <= 2
         assert oracle.count <= 4 * math.comb(n, 3)
+
+
+def _reference_record(ps, tet):
+    """The charge of a tetrahedron recomputed on the Fraction kernel."""
+    length = {e: squared_volume(ps, e) for e in itertools.combinations(tet, 2)}
+    x0_sq = max(length.values())
+    diameters = [e for e in length if length[e] == x0_sq]
+    faces = [f for f in itertools.combinations(tet, 3)
+             if any(set(e) <= set(f) for e in diameters)]
+    face = max(faces, key=lambda f: squared_volume(ps, f))  # first of the largest
+    diameter = min(e for e in diameters if set(e) <= set(face))
+    third = next(i for i in face if i not in diameter)
+    apex = next(i for i in tet if i not in face)
+    key = plane_key(ps, face)
+    return {
+        "face": face,
+        "diameter": diameter,
+        "x0_sq": x0_sq,
+        "y0_sq": 4 * squared_volume(ps, (third,) + diameter) / x0_sq,
+        "z0_sq": squared_distance_point_plane(ps.points[apex], key),
+        "side": "above" if key.side_of(ps.points[apex]) > 0 else "below",
+    }
+
+
+def _charging_inputs():
+    rng = random.Random(20071022)
+    box = list(itertools.product(range(3), range(3), range(2)))
+    primes = (2, 3, 5, 7, 11)
+    sets = [PointSet(box), PointSet(list(itertools.product(range(4), range(2), range(2))))]
+    for _ in range(6):
+        # lattice subsets: equal diameters and equal face areas
+        sets.append(PointSet(rng.sample(box, rng.randint(7, 12))))
+    for _ in range(6):
+        # coordinates with mixed prime denominators
+        pts = {tuple(F(rng.randint(-9, 9), rng.choice(primes)) for _ in range(3))
+               for _ in range(rng.randint(6, 10))}
+        sets.append(PointSet(sorted(pts)))
+    for _ in range(4):
+        # translated lattice subsets: the ties stay, the scale grows
+        shift = [F(rng.randint(-99, 99), rng.choice(primes)) for _ in range(3)]
+        sets.append(PointSet([tuple(c + t for c, t in zip(p, shift))
+                              for p in rng.sample(box, rng.randint(7, 12))]))
+    return sets
+
+
+def test_integer_charging_matches_fraction_kernel():
+    checked = 0
+    for ps in _charging_inputs():
+        for tet in min_volume_simplices(ps, 3).witnesses:
+            record = charge_tetrahedron(ps, tet)
+            assert record.tetra == tet
+            assert {name: getattr(record, name) for name in (
+                "face", "diameter", "x0_sq", "y0_sq", "z0_sq", "side")} == _reference_record(ps, tet)
+            checked += 1
+    assert checked > 1000

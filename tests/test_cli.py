@@ -4,7 +4,8 @@ import json
 from fractions import Fraction as F
 
 import simplexvol.bruteforce as bruteforce
-from simplexvol import gen_random_rational, parse_point_file
+import simplexvol.charging as charging
+from simplexvol import ChargeRecord, gen_random_rational, parse_point_file
 from simplexvol.bruteforce import MinSimplexResult
 from simplexvol.cli import main
 
@@ -105,6 +106,23 @@ def test_minvol_oracle_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "minvol", path, "--oracle")
     assert code == 4
     assert report_of(out)["results"]["oracle"]["match"] is False
+
+
+def test_minvol_charging_bound_exceeded_exits_4(tmp_path, capsys, monkeypatch):
+    # a 2x2x2 cube has many minimum tetrahedra; charge all of them to one face
+    path = write_points(tmp_path, "cube.txt", "dim 3\n" + "".join(
+        f"{x} {y} {z}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1)))
+
+    def one_face(ps, coords, scale, tetra):
+        return ChargeRecord(tetra=tuple(tetra), face=(0, 1, 2), side="above",
+                            diameter=(0, 1), x0_sq=F(1), y0_sq=F(1), z0_sq=F(1))
+
+    monkeypatch.setattr(charging, "_charge", one_face)
+    code, out, err = run(capsys, "minvol", path, "--check-charging")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: charging bound exceeded:")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_minvol_deterministic_output(tmp_path, capsys):

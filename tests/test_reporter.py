@@ -247,6 +247,26 @@ class TestMinVolumeTetrahedra:
             total += summary.count * slab.count
         assert total == report.sum_face_products
 
+    @pytest.mark.parametrize("ps", [
+        random_spanning(9, 3, seed=4),
+        # mixed prime denominators: the scale is 2*3*5*7, and the plane
+        # offsets on the scaled points share factors with it
+        PointSet([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5)), (F(1, 7), F(1, 7), 1),
+                  (1, F(2, 3), F(2, 5)), (F(3, 2), F(1, 5), F(4, 7)), (2, 1, F(1, 3)),
+                  (F(5, 7), F(3, 2), F(3, 5))]),
+        # a small lattice: many tied planes, both sides of most of them
+        PointSet(list(itertools.product((0, 1, 2), (0, 1), (0, 1)))),
+    ], ids=["random", "prime-denominators", "lattice"])
+    def test_contributing_plane_keys_and_sides(self, ps):
+        report = min_volume_tetrahedra(ps)
+        sides = set()
+        for summary, slab in report.contributing:
+            assert summary.key == slab.plane == plane_key(ps, summary.witnesses[0])
+            sign = slab.plane.side_of(ps.points[slab.nearest[0]])
+            assert slab.side == {1: "above", -1: "below"}[sign]
+            sides.add(slab.side)
+        assert sides == {"above", "below"}
+
     def test_tie_heavy_grid(self):
         # 3x3x3 integer grid: massive symmetry, many collinear triples and
         # coplanar quadruples
