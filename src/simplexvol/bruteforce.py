@@ -14,15 +14,14 @@ from itertools import combinations
 
 from .exact import (
     AllDegenerate,
-    DegenerateInput,
     HyperplaneKey,
     IndexSimplex,
     LineKey,
     PointSet,
     _det,
     integer_coordinates,
+    integer_hyperplane_key,
     line_key,
-    plane_key,
 )
 
 __all__ = [
@@ -203,13 +202,16 @@ def spanned_planes(ps: PointSet) -> list[tuple[HyperplaneKey, tuple[int, ...]]]:
     deduplicated by canonical key and sorted by key."""
     if ps.dim != 3:
         raise ValueError(f"spanned_planes needs a 3D point set, got dim {ps.dim}")
+    coords, scale = integer_coordinates(ps)
     groups: dict[HyperplaneKey, set[int]] = {}
-    n = len(ps)
-    for i, j, k in combinations(range(n), 3):
-        try:
-            key = plane_key(ps, (i, j, k))
-        except DegenerateInput:
+    for i, j, k in combinations(range(len(ps)), 3):
+        p, q, r = coords[i], coords[j], coords[k]
+        u = [b - a for a, b in zip(p, q)]
+        v = [b - a for a, b in zip(p, r)]
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if not any(normal):
             continue
+        key = integer_hyperplane_key(normal, sum(a * b for a, b in zip(normal, p)), scale)
         groups.setdefault(key, set()).update((i, j, k))
     planes = [(key, tuple(sorted(members))) for key, members in groups.items()]
     planes.sort(key=lambda item: (item[0].normal, item[0].offset))

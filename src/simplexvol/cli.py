@@ -220,6 +220,8 @@ def cmd_count(args) -> int:
 # family -> (points of size n, fast reporter, dimension)
 BENCH_FAMILIES = {
     "prism3d": (lambda n: gen_min_tetra_prism(n).points, min_volume_tetrahedra, 3),
+    "random3d": (lambda n: gen_random_rational(n, 3, seed=0, bound=1000),
+                 min_volume_tetrahedra, 3),
     "random2d": (lambda n: gen_random_rational(n, 2, seed=0, bound=10 ** 4),
                  min_area_triangles, 2),
 }

@@ -9,6 +9,7 @@ import pytest
 
 from simplexvol import (
     AllDegenerate,
+    DegenerateInput,
     PointSet,
     count_simplices_with_volume,
     distinct_volumes,
@@ -16,6 +17,7 @@ from simplexvol import (
     gen_lattice2d,
     gen_min_tetra_prism,
     min_volume_simplices,
+    plane_key,
     rich_lines,
     spanned_planes,
 )
@@ -189,6 +191,21 @@ def test_spanned_planes_sorted_and_complete():
     for key, members in planes:
         on_plane = tuple(i for i, p in enumerate(ps.points) if key.contains(p))
         assert members == on_plane
+
+
+def test_spanned_planes_keys_match_plane_key():
+    # Mixed prime denominators (the integer keys are reduced by gcds shared
+    # with the common denominator), a collinear triple and a duplicate.
+    ps = PointSet([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5)), (F(1, 7), F(1, 7), 1),
+                   (1, F(2, 3), F(2, 5)), (2, F(4, 3), F(4, 5)), (0, 0, F(1, 5)),
+                   (3, 2, F(6, 5)), (F(3, 2), F(1, 5), F(4, 7))], allow_duplicates=True)
+    expected: dict = {}
+    for triple in combinations(range(len(ps)), 3):
+        try:
+            expected.setdefault(plane_key(ps, triple), set()).update(triple)
+        except DegenerateInput:
+            continue
+    assert {key: set(members) for key, members in spanned_planes(ps)} == expected
 
 
 def test_min_simplices_zero_volume_skipped_with_duplicates():

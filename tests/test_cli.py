@@ -211,6 +211,19 @@ def test_bench_random2d(capsys):
     assert isinstance(doc["results"]["loglog_slope"], float)
 
 
+def test_bench_random3d(capsys):
+    code, out, _ = run(capsys, "bench", "--family", "random3d", "--sizes", "6,12",
+                       "--with-oracle")
+    assert code == 0
+    doc = report_of(out)
+    assert doc["parameters"]["family"] == "random3d"
+    assert doc["results"]["counts"] == [
+        bruteforce.min_volume_simplices(gen_random_rational(n, 3, 0, bound=1000), 3).count
+        for n in (6, 12)]
+    assert None not in doc["results"]["oracle_seconds"]
+    assert isinstance(doc["results"]["loglog_slope"], float)
+
+
 def test_bench_unknown_family_exits_2(capsys):
     code, _, _ = run(capsys, "bench", "--family", "lattice2d", "--sizes", "8")
     assert code == 2

@@ -3,6 +3,7 @@ reporters against the brute-force oracle, and the counting identities."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from simplexvol import (
     min_volume_tetrahedra,
     plane_key,
     shortest_segments_on_line,
+    spanned_planes,
     squared_distance_point_plane,
 )
 from simplexvol.reporter import _angle_records, _sweep_2d
@@ -60,6 +62,38 @@ def tie_heavy_2d(draw):
     px = draw(st.sampled_from([1, 2, 3, 5, 7]))
     py = draw(st.sampled_from([1, 3, 11, 13]))
     rows = [(F(x, px) + F(1, 7), F(y, py)) for x, y in draw(st.permutations(pts))]
+    return PointSet(rows, allow_duplicates=True)
+
+
+@st.composite
+def tie_heavy_3d(draw):
+    """Small 3D sets full of ties: lattice subsets, points at equal gaps on
+    two to four parallel lines (vertical like the prism, or slanted), or
+    points on two or three parallel planes, with duplicates.  A shear and an
+    axis scaling by primes then mix the denominators and keep every tie."""
+    kind = draw(st.sampled_from(["lattice", "lines", "planes"]))
+    if kind == "lattice":
+        coord = st.integers(0, draw(st.integers(1, 2)))
+        pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=12, unique=True))
+    elif kind == "lines":
+        d = draw(st.sampled_from([(0, 0, 1), (1, 1, 0), (1, 0, 2), (1, -1, 1)]))
+        pts = []
+        for _ in range(draw(st.integers(2, 4))):
+            anchor = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+            ts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4, unique=True))
+            pts += [tuple(a + t * c for a, c in zip(anchor, d)) for t in ts]
+    else:
+        xy = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        pts = [(x, y, z) for z in draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3,
+                                                unique=True))
+               for x, y in draw(st.lists(xy, min_size=1, max_size=5))]
+    pts = list(dict.fromkeys(pts))[:10]
+    extra = max(0, 4 - len(pts))
+    pts += draw(st.lists(st.sampled_from(pts), min_size=extra, max_size=extra + 2))
+    shear = draw(st.sampled_from([0, 1, -2]))
+    primes = draw(st.sampled_from([(1, 1, 1), (2, 3, 5), (7, 1, 11), (1, 13, 3)]))
+    rows = [(F(x, primes[0]) + F(1, 7), F(y + shear * x, primes[1]), F(z + shear * y, primes[2]))
+            for x, y, z in draw(st.permutations(pts))]
     return PointSet(rows, allow_duplicates=True)
 
 
@@ -286,6 +320,36 @@ class TestMinVolumeTetrahedra:
         assert report.min_volume_sq == oracle.min_squared_volume
         assert report.count == oracle.count
         assert report.witnesses == oracle.witnesses
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(tie_heavy_3d())
+    def test_matches_oracle_on_tie_heavy_sets(self, ps):
+        n_planes = len(spanned_planes(ps))
+        try:
+            oracle = min_volume_simplices(ps, 3)
+        except AllDegenerate:
+            with pytest.raises(AllDegenerate, match="coplanar" if n_planes else "collinear"):
+                min_volume_tetrahedra(ps)
+            return
+        report = min_volume_tetrahedra(ps)
+        assert report.min_volume_sq == oracle.min_squared_volume
+        assert report.count == oracle.count
+        assert report.witnesses == tuple(sorted(oracle.witnesses))
+        assert report.n_planes == n_planes
+
+    def test_working_memory_grows_linearly(self):
+        # The scan keeps O(n) per pair of points; a set of all plane normals
+        # of random points would grow about 8x when n doubles.
+        peaks = []
+        for n in (15, 30):
+            ps = gen_random_rational(n, 3, seed=0, bound=1000)
+            tracemalloc.start()
+            try:
+                min_volume_tetrahedra(ps, witnesses=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * peaks[0], peaks
 
     def test_coplanar_error(self):
         ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 5, 0)])
