@@ -1,8 +1,11 @@
 """Brute-force reference implementations for every extremal quantity.
 
 These oracles scan all C(n, k+1) vertex subsets with no pruning whatsoever, so
-they are independent of the fast reporting paths they validate.  Zero-volume
-simplices are silently skipped everywhere (the "minimum nonzero" convention).
+they are independent of the fast reporting paths they validate.  A (d+1)-subset
+is a face of its first d points plus an apex: the face's normal is taken once
+(exact.face_normal) and each apex's determinant is one dot product with it;
+each k-simplex for k < d takes a Gram determinant.  Zero-volume simplices are
+silently skipped everywhere (the "minimum nonzero" convention).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .exact import (
     AllDegenerate,
@@ -19,6 +23,7 @@ from .exact import (
     LineKey,
     PointSet,
     _det,
+    face_normal,
     integer_coordinates,
     integer_hyperplane_key,
     line_key,
@@ -64,15 +69,11 @@ class RichLineReport:
     lines: tuple[tuple[LineKey, tuple[int, ...]], ...]
 
 
-def _int_squared_volume_numerator(coords, idx, k, d):
-    """Gram-determinant numerator for the squared k-volume of scaled integer
-    points; shared denominator is (k! * scale**k)**2.  For k = d the plain
-    edge determinant is squared instead (cheaper, same value)."""
+def _int_squared_volume_numerator(coords, idx):
+    """Gram-determinant numerator for the squared k-volume (k = len(idx) - 1)
+    of scaled integer points; shared denominator is (k! * scale**k)**2."""
     base = coords[idx[0]]
     edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in idx[1:]]
-    if k == d:
-        det = _det(edges)
-        return det * det
     gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
     return _det(gram)
 
@@ -96,18 +97,26 @@ def min_volume_simplices(ps: PointSet, k: int,
     best = None
     witnesses: list[IndexSimplex] = []
     count = 0
-    for idx in combinations(range(n), k + 1):
-        num = _int_squared_volume_numerator(coords, idx, k, d)
-        if num == 0:
-            continue
-        if best is None or num < best:
-            best = num
-            count = 1
-            witnesses = [idx]
-        elif num == best:
-            count += 1
-            if max_witnesses is None or len(witnesses) < max_witnesses:
-                witnesses.append(idx)
+    # face + (l,) runs through the (k+1)-subsets in combinations order
+    for face in combinations(range(n), k):
+        if k == d:
+            normal, offset = face_normal([coords[i] for i in face])
+        for l in range(face[-1] + 1, n):
+            if k == d:
+                num = sum(map(mul, normal, coords[l])) - offset
+                num *= num
+            else:
+                num = _int_squared_volume_numerator(coords, face + (l,))
+            if num == 0:
+                continue
+            if best is None or num < best:
+                best = num
+                count = 1
+                witnesses = [face + (l,)]
+            elif num == best:
+                count += 1
+                if max_witnesses is None or len(witnesses) < max_witnesses:
+                    witnesses.append(face + (l,))
     if best is None:
         raise AllDegenerate(f"every {k + 1}-subset of the input is degenerate")
     if max_witnesses is not None:
@@ -142,19 +151,21 @@ def count_simplices_with_volume(ps: PointSet, target: Fraction, k: int,
     else:
         want_num = target.numerator * (math.factorial(k) * scale ** k) ** 2
         want_den = target.denominator
+    n = len(ps)
     count = 0
     witnesses: list[IndexSimplex] = []
-    for idx in combinations(range(len(ps)), k + 1):
+    for face in combinations(range(n), k):
         if k == d:
-            base = coords[idx[0]]
-            edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in idx[1:]]
-            val = abs(_det(edges))
-        else:
-            val = _int_squared_volume_numerator(coords, idx, k, d)
-        if val * want_den == want_num:
-            count += 1
-            if keep_witnesses and (max_witnesses is None or len(witnesses) < max_witnesses):
-                witnesses.append(idx)
+            normal, offset = face_normal([coords[i] for i in face])
+        for l in range(face[-1] + 1, n):
+            if k == d:
+                val = abs(sum(map(mul, normal, coords[l])) - offset)
+            else:
+                val = _int_squared_volume_numerator(coords, face + (l,))
+            if val * want_den == want_num:
+                count += 1
+                if keep_witnesses and (max_witnesses is None or len(witnesses) < max_witnesses):
+                    witnesses.append(face + (l,))
     return CountReport(target=target, k=k, count=count,
                        witnesses=tuple(witnesses) if keep_witnesses else None)
 
@@ -165,12 +176,11 @@ def distinct_volumes(ps: PointSet) -> DistinctVolumeReport:
     n = len(ps)
     coords, scale = integer_coordinates(ps)
     seen: set[int] = set()
-    for idx in combinations(range(n), d + 1):
-        base = coords[idx[0]]
-        edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in idx[1:]]
-        det = abs(_det(edges))
-        if det:
-            seen.add(det)
+    for face in combinations(range(n), d):
+        normal, offset = face_normal([coords[i] for i in face])
+        for l in range(face[-1] + 1, n):
+            seen.add(abs(sum(map(mul, normal, coords[l])) - offset))
+    seen.discard(0)
     if not seen:
         raise AllDegenerate("the point set lies in a hyperplane")
     denom = math.factorial(d) * scale ** d
@@ -204,15 +214,10 @@ def spanned_planes(ps: PointSet) -> list[tuple[HyperplaneKey, tuple[int, ...]]]:
         raise ValueError(f"spanned_planes needs a 3D point set, got dim {ps.dim}")
     coords, scale = integer_coordinates(ps)
     groups: dict[HyperplaneKey, set[int]] = {}
-    for i, j, k in combinations(range(len(ps)), 3):
-        p, q, r = coords[i], coords[j], coords[k]
-        u = [b - a for a, b in zip(p, q)]
-        v = [b - a for a, b in zip(p, r)]
-        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-        if not any(normal):
-            continue
-        key = integer_hyperplane_key(normal, sum(a * b for a, b in zip(normal, p)), scale)
-        groups.setdefault(key, set()).update((i, j, k))
+    for triple in combinations(range(len(ps)), 3):
+        normal, offset = face_normal([coords[i] for i in triple])
+        if any(normal):
+            groups.setdefault(integer_hyperplane_key(normal, offset, scale), set()).update(triple)
     planes = [(key, tuple(sorted(members))) for key, members in groups.items()]
     planes.sort(key=lambda item: (item[0].normal, item[0].offset))
     return planes

@@ -56,53 +56,51 @@ class ChargingBoundExceeded(GeometryError):
     """Over four charges fell on one face, or over two on one (face, side)."""
 
 
-def _sq(v) -> int:
-    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-
-
-def _normal(p, q, r):
-    """(q - p) x (r - p) for integer points."""
-    (u0, u1, u2), (v0, v1, v2) = ([b - a for a, b in zip(p, x)] for x in (q, r))
-    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+# Edges and faces of a tetrahedron 0123 in combinations order; each face
+# carries the positions in _EDGES of its edges f0f1, f0f2 and f1f2.
+_EDGES = tuple(combinations(range(4), 2))
+_FACES = tuple((f, tuple(_EDGES.index(e) for e in combinations(f, 2)))
+               for f in combinations(range(4), 3))
 
 
 def _charge(ps: PointSet, coords, scale: int, tetra: Iterable[int]) -> ChargeRecord:
     """charge_tetrahedron on the cleared coordinates coords = scale * points.
 
-    Lengths and areas are compared as integer squared lengths and |cross|^2;
-    the side is the sign of normal . (apex - face[0]) with the normal turned
-    to its canonical key orientation (exact.leading_sign).  Only the three
-    measures of the record are divided back into Fractions.
+    The six edge vectors and squared lengths are taken once; each face that
+    holds a diameter gets |cross|^2 of two of its edges, the first strictly
+    largest wins, and |cross|^2 / x0^2 is its squared height over the
+    diameter.  The side is the sign of normal . (apex - face[0]) with the
+    normal in its canonical key orientation (exact.leading_sign).
     """
     tet = as_simplex(tetra, len(ps))
     if len(tet) != 4 or ps.dim != 3:
         raise DegenerateInput("charging needs a tetrahedron in a 3D point set")
-    sq_len = {(a, b): _sq([y - x for x, y in zip(coords[a], coords[b])])
-              for a, b in combinations(tet, 2)}
-    max_len = max(sq_len.values())
-    diameters = [e for e, length in sq_len.items() if length == max_len]
-    best = None
-    for f in combinations(tet, 3):
-        if any(set(e) <= set(f) for e in diameters):
-            normal = _normal(*(coords[i] for i in f))
-            area = _sq(normal)
-            if best is None or area > best[1]:
-                best = (f, area, normal)
-    face, area, normal = best
-    apex = next(i for i in tet if i not in face)
-    det = sum(c * (x - y) for c, x, y in zip(normal, coords[apex], coords[face[0]]))
+    pts = [coords[i] for i in tet]
+    vecs = [(q0 - p0, q1 - p1, q2 - p2) for (p0, p1, p2), (q0, q1, q2) in combinations(pts, 2)]
+    lengths = [x * x + y * y + z * z for x, y, z in vecs]
+    max_len = max(lengths)
+    area = -1
+    for f, edges in _FACES:
+        if max_len not in (lengths[edges[0]], lengths[edges[1]], lengths[edges[2]]):
+            continue
+        (u0, u1, u2), (v0, v1, v2) = vecs[edges[0]], vecs[edges[1]]
+        n0, n1, n2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+        a = n0 * n0 + n1 * n1 + n2 * n2
+        if a > area:
+            area, face, face_edges, normal = a, f, edges, (n0, n1, n2)
+    p, q = pts[face[0]], pts[6 - sum(face)]  # q is the apex: 0 + 1 + 2 + 3 == 6
+    det = normal[0] * (q[0] - p[0]) + normal[1] * (q[1] - p[1]) + normal[2] * (q[2] - p[2])
     if det == 0:
         raise DegenerateInput(f"tetrahedron {tet} is degenerate")
-    diameter = min(e for e in diameters if set(e) <= set(face))
-    third = next(i for i in face if i not in diameter)
+    i, j = _EDGES[next(e for e in face_edges if lengths[e] == max_len)]
     s2 = scale * scale
     return ChargeRecord(
         tetra=tet,
-        face=face,
+        face=(tet[face[0]], tet[face[1]], tet[face[2]]),
         side="above" if det * leading_sign(normal) > 0 else "below",
-        diameter=diameter,
+        diameter=(tet[i], tet[j]),
         x0_sq=Fraction(max_len, s2),
-        y0_sq=Fraction(_sq(_normal(*(coords[i] for i in diameter + (third,)))), max_len * s2),
+        y0_sq=Fraction(area, max_len * s2),
         z0_sq=Fraction(det * det, area * s2),
     )
 

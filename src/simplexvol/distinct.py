@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -17,7 +18,7 @@ from .exact import (
     DegenerateInput,
     DimensionMismatch,
     PointSet,
-    _det,
+    face_normal,
     hyperplane_key,
     integer_coordinates,
     primitive_vector,
@@ -184,15 +185,10 @@ def distinct_areas_from_point(ps: PointSet, p1: int) -> DistinctAreaResult:
     for p2 in range(n):
         if p2 == p1:
             continue
-        u = tuple(c - b for c, b in zip(ps.points[p2], base))
-        areas = set()
-        for q in range(n):
-            if q == p1 or q == p2:
-                continue
-            v = tuple(c - b for c, b in zip(ps.points[q], base))
-            cross = u[0] * v[1] - u[1] * v[0]
-            if cross:
-                areas.add(abs(cross))  # 2x area; distinct counts agree
+        normal, offset = face_normal([base, ps.points[p2]])
+        # 2x the areas of the triangles (p1, p2, q); distinct counts agree
+        areas = {abs(sum(map(mul, normal, q)) - offset) for q in ps.points}
+        areas.discard(0)
         if len(areas) > best_count:
             best_partner, best_count = p2, len(areas)
     return DistinctAreaResult(
@@ -203,26 +199,11 @@ def distinct_areas_from_point(ps: PointSet, p1: int) -> DistinctAreaResult:
     )
 
 
-def _face_nondegenerate(coords, face) -> bool:
-    if len(face) == 1:
-        return True
-    base = coords[face[0]]
-    edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in face[1:]]
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
-    return _det(gram) != 0
-
-
 def _distinct_apex_volumes(coords, face, n) -> set[int]:
     """Distinct positive |det| over simplices face + {q}, scaled integers."""
-    base = coords[face[0]]
-    edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in face[1:]]
-    seen: set[int] = set()
-    for q in range(n):
-        if q in face:
-            continue
-        det = _det(edges + [tuple(c - b for c, b in zip(coords[q], base))])
-        if det:
-            seen.add(abs(det))
+    normal, offset = face_normal([coords[i] for i in face])
+    seen = {abs(sum(map(mul, normal, coords[q])) - offset) for q in range(n) if q not in face}
+    seen.discard(0)
     return seen
 
 
@@ -251,8 +232,6 @@ def best_common_face(ps: PointSet, mode: str = "exhaustive") -> CommonFaceResult
                 "use mode='heuristic'")
         best = None
         for face in combinations(range(n), d):
-            if not _face_nondegenerate(coords, face):
-                continue
             vols = _distinct_apex_volumes(coords, face, n)
             if vols and (best is None or len(vols) > len(best[1])):
                 best = (face, vols)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "as_simplex",
     "signed_volume",
     "squared_volume",
+    "face_normal",
     "hyperplane_key",
     "plane_key",
     "line_key",
@@ -304,27 +306,45 @@ def _integerize(values: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(int(v * scale) for v in values)
 
 
+def face_normal(points: Sequence[Sequence]) -> tuple[tuple, Fraction | int]:
+    """Normal and offset of the face spanned by d points p0..p_{d-1} of R^d:
+    det(p1 - p0, ..., p_{d-1} - p0, q - p0) == normal . q - offset for every
+    q, so one dot product per apex q gives d! times the signed volume of the
+    simplex face + q.  Integers for integer points, Fractions otherwise; the
+    normal is zero iff the points are affinely dependent."""
+    p0 = points[0]
+    d = len(p0)
+    if d == 1:
+        return (1,), p0[0]
+    if d == 2:
+        (x0, y0), (x1, y1) = points
+        normal = (y0 - y1, x1 - x0)
+    elif d == 3:
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = points
+        u0, u1, u2 = x1 - x0, y1 - y0, z1 - z0
+        v0, v1, v2 = x2 - x0, y2 - y0, z2 - z0
+        normal = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    else:
+        rows = [[c - b for c, b in zip(p, p0)] for p in points[1:]]
+        normal = tuple(_det([row[:j] + row[j + 1:] for row in rows]) * (-1) ** (d - 1 + j)
+                       for j in range(d))
+    return normal, sum(map(mul, normal, p0))
+
+
 def hyperplane_key(ps: PointSet, indices: Iterable[int]) -> HyperplaneKey:
     """Canonical key of the hyperplane spanned by d affinely independent points.
 
-    The normal is obtained from the cofactors of the edge-vector matrix and the
-    pair (normal, offset) is cleared to integers, reduced by their common gcd,
-    and sign-normalized, so equal keys correspond exactly to equal hyperplanes.
+    The normal comes from face_normal and the pair (normal, offset) is
+    cleared to integers, reduced by their common gcd, and sign-normalized, so
+    equal keys correspond exactly to equal hyperplanes.
     """
     idx = as_simplex(indices, len(ps))
     d = ps.dim
     if len(idx) != d:
         raise DimensionMismatch(f"a hyperplane in R^{d} is spanned by {d} points, got {len(idx)}")
-    base = ps.points[idx[0]]
-    rows = [tuple(c - b for c, b in zip(ps.points[i], base)) for i in idx[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in rows]
-        cof = _det(minor) if minor else Fraction(1)
-        normal.append(cof if j % 2 == 0 else -cof)
-    if all(c == 0 for c in normal):
+    normal, offset = face_normal([ps.points[i] for i in idx])
+    if not any(normal):
         raise DegenerateInput(f"points {idx} are affinely dependent")
-    offset = sum(n * c for n, c in zip(normal, base))
     ints = _integerize([Fraction(c) for c in normal] + [Fraction(offset)])
     return integer_hyperplane_key(ints[:-1], ints[-1])
 

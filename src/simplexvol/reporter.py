@@ -47,6 +47,7 @@ from .exact import (
     HyperplaneKey,
     LineKey,
     PointSet,
+    face_normal,
     integer_coordinates,
     integer_hyperplane_key,
     line_key,
@@ -173,13 +174,6 @@ def _shortest_runs(coords, pts, d):
     return min_gap, pairs
 
 
-def _cross(p, q, r):
-    """Cross product (q - p) x (r - p) of integer 3D points."""
-    u0, u1, u2 = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-    v0, v1, v2 = r[0] - p[0], r[1] - p[1], r[2] - p[2]
-    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-
-
 def _plane_scan(coords, members):
     """Minimum-area triangles among coplanar points, in scaled integer space.
 
@@ -193,7 +187,7 @@ def _plane_scan(coords, members):
         a, b, c = members
         pa, pb, pc = coords[a], coords[b], coords[c]
         if len(pa) == 3:
-            cs = sum(c * c for c in _cross(pa, pb, pc))
+            cs = sum(c * c for c in face_normal((pa, pb, pc))[0])
         else:
             cs = ((pb[0] - pa[0]) * (pc[1] - pa[1])
                   - (pb[1] - pa[1]) * (pc[0] - pa[0])) ** 2
@@ -425,7 +419,7 @@ def _contributing_3d(pts, idx, tets, scale):
             face = tuple(tet[:k] + tet[k + 1:])
             plane = planes.get(face)
             if plane is None:
-                g = primitive_vector(_cross(*(pts[s] for s in face)))
+                g = primitive_vector(face_normal([pts[s] for s in face])[0])
                 plane = planes[face] = (g, sum(x * y for x, y in zip(g, pts[face[0]])))
             # the plane is g . P == t with g's leading entry positive, as in
             # its key, so the apex is above iff dt < 0
@@ -453,7 +447,7 @@ def _contributing_3d(pts, idx, tets, scale):
                 lines.add((dx, dy, dz, dy * z - dz * y, dz * x - dx * z, dx * y - dy * x))
             incident = tuple(sorted(i for s in on for i in idx[s]))
             tri = sorted(tuple(sorted(w)) for f in faces for w in product(*(idx[s] for s in f)))
-            normal = _cross(*(pts[s] for s in next(iter(faces))))
+            normal = face_normal([pts[s] for s in next(iter(faces))])[0]
             summary = summaries[g, t] = PlaneSummary(
                 key=integer_hyperplane_key(g, t, scale),
                 incident=incident,
@@ -784,13 +778,16 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True,
         wit_set: set[tuple[int, int, int]] = set()
         contrib = []
         # contributing pairs are listed by (direction, moment, side)
-        for (_, _, _, dd, pts, min_gap, seg_pairs, dm, near) in sorted(
+        for ((d0, d1), m, _, dd, pts, min_gap, seg_pairs, dm, near) in sorted(
                 merged.payloads, key=itemgetter(0, 1, 2)):
             for (a, b) in seg_pairs:
                 for q in near:
                     wit_set.add(tuple(sorted((a, b, q))))
-            key = line_key(ps, seg_pairs[0][0], seg_pairs[0][1])
-            side = "above" if key.side_of(ps.points[near[0]]) > 0 else "below"
+            # the line d0*y - d1*x == m (scaled) passes nearest the origin at
+            # m*(-d1, d0)/dd; its nearest points (moment m - dm) are above iff dm < 0
+            key = LineKey(direction=(d0, d1), anchor=(Fraction(-m * d1, dd * scale),
+                                                      Fraction(m * d0, dd * scale)))
+            side = "above" if dm < 0 else "below"
             summary = LineSummary(
                 key=key,
                 incident=tuple(sorted(pts)),

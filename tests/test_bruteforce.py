@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from simplexvol import (
     AllDegenerate,
     DegenerateInput,
     PointSet,
+    best_common_face,
     count_simplices_with_volume,
     distinct_volumes,
     gen_distinct_volume_lines,
@@ -21,6 +22,7 @@ from simplexvol import (
     rich_lines,
     spanned_planes,
 )
+from simplexvol.exact import _det
 from helpers import random_spanning, scale_points
 
 
@@ -213,3 +215,71 @@ def test_min_simplices_zero_volume_skipped_with_duplicates():
     result = min_volume_simplices(ps, 2)
     assert result.min_squared_volume == F(1, 4)
     assert result.count == 2  # both labels of the duplicated point participate
+
+
+def _kernel_sets(d):
+    """Small d-dimensional sets for the face-normal scans: lattice subsets,
+    lattice subsets with duplicates, and both with coordinates divided by
+    distinct primes (mixed denominators), then one hyperplanar set."""
+    rng = random.Random(d)
+    lattice = list(product(range(3 if d > 1 else 9), repeat=d))
+    sets = []
+    for n in (d + 2, d + 4, d + 5):
+        rows = rng.sample(lattice, n)
+        sets.append(rows)
+        sets.append(rows + rng.sample(rows, 2))
+    primes = (2, 3, 5, 7)[:d]
+    sets += [[tuple(F(c, p) + F(1, 11) for c, p in zip(r, primes)) for r in rows]
+             for rows in sets[-4:]]
+    sets.append([r[:-1] + (F(1, 3),) for r in rng.sample(lattice, d + 3)])
+    return [PointSet(rows, allow_duplicates=True) for rows in sets]
+
+
+def _reference_volumes(ps):
+    """d! * volume of every (d+1)-subset in combinations order, one full
+    exact._det of its edge vectors each."""
+    out = []
+    for idx in combinations(range(len(ps)), ps.dim + 1):
+        base = ps.points[idx[0]]
+        out.append((idx, abs(_det([[c - b for c, b in zip(ps.points[i], base)]
+                                   for i in idx[1:]]))))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_full_dimensional_scans_match_per_subset_determinants(d):
+    scale = math.factorial(d)
+    for ps in _kernel_sets(d):
+        vols = _reference_volumes(ps)
+        positive = sorted({v for _, v in vols if v})
+        if not positive:
+            with pytest.raises(AllDegenerate):
+                min_volume_simplices(ps, d)
+            with pytest.raises(AllDegenerate):
+                distinct_volumes(ps)
+            with pytest.raises(AllDegenerate):
+                best_common_face(ps, mode="exhaustive")
+            assert count_simplices_with_volume(ps, F(1), d).count == 0
+            continue
+        least = [idx for idx, v in vols if v == positive[0]]
+        result = min_volume_simplices(ps, d)
+        assert result.min_squared_volume == (positive[0] / scale) ** 2
+        assert result.witnesses == tuple(least)
+        assert result.count == len(least)
+        capped = min_volume_simplices(ps, d, max_witnesses=2)
+        assert capped.witnesses == tuple(least[:2]) and capped.count == len(least)
+        assert distinct_volumes(ps).distinct_values == tuple(v / scale for v in positive)
+        for v in positive[:: max(1, len(positive) // 3)]:
+            report = count_simplices_with_volume(ps, v / scale, d, keep_witnesses=True)
+            assert report.witnesses == tuple(idx for idx, w in vols if w == v)
+            assert report.count == len(report.witnesses)
+        # the exhaustive common face: the first face with the most distinct
+        # positive volumes over its apexes
+        best = None
+        for face in combinations(range(len(ps)), d):
+            seen = {v for idx, v in vols if v and set(face) <= set(idx)}
+            if seen and (best is None or len(seen) > len(best[1])):
+                best = (face, seen)
+        common = best_common_face(ps, mode="exhaustive")
+        assert common.face == best[0]
+        assert common.volumes == tuple(v / scale for v in sorted(best[1]))

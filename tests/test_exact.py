@@ -18,7 +18,7 @@ from simplexvol import (
     squared_distance_point_plane,
     squared_volume,
 )
-from simplexvol.exact import integer_coordinates, primitive_vector
+from simplexvol.exact import _det, face_normal, integer_coordinates, primitive_vector
 
 rational = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 point3 = st.tuples(rational, rational, rational)
@@ -165,6 +165,18 @@ def test_degeneracy_affine_invariant(rows, s, t):
 
     mapped = PointSet([apply(p) for p in ps.points], allow_duplicates=True)
     assert squared_volume(mapped, (0, 1, 2, 3)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.tuples(*[rational] * d), min_size=d + 1, max_size=d + 1)))
+def test_face_normal_gives_signed_determinant(rows):
+    # normal . q - offset is det(p1 - p0, ..., q - p0) with its sign, for
+    # Fraction points and for their cleared integer images
+    for pts in (rows, integer_coordinates(PointSet(rows, allow_duplicates=True))[0]):
+        normal, offset = face_normal(pts[:-1])
+        det = _det([[c - b for c, b in zip(p, pts[0])] for p in pts[1:]])
+        assert sum(n * c for n, c in zip(normal, pts[-1])) - offset == det
 
 
 def test_plane_key_canonical_across_representations():

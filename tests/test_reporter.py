@@ -18,6 +18,7 @@ from simplexvol import (
     gen_min_ksimplex_lines,
     gen_min_tetra_prism,
     gen_random_rational,
+    line_key,
     min_area_triangles,
     min_area_triangles_in_plane,
     min_volume_simplices,
@@ -392,6 +393,26 @@ class TestMinAreaTriangles:
             assert report.sum_side_products == 3 * report.count
             checked += 1
         assert checked >= 50
+
+    @pytest.mark.parametrize("ps", [
+        random_spanning(12, 2, seed=4),
+        # mixed prime denominators: the scale is 2*3*5*7*11, and the line
+        # anchors on the scaled points share factors with it
+        PointSet([(F(1, 2), 0), (0, F(1, 3)), (F(1, 5), F(1, 7)), (1, F(2, 11)),
+                  (F(3, 7), F(4, 5)), (F(5, 3), F(1, 2)), (F(2, 11), F(7, 5)),
+                  (F(6, 5), F(8, 7))]),
+        # a small lattice: many tied lines, both sides of most of them
+        PointSet(list(itertools.product(range(3), range(4)))),
+    ], ids=["random", "prime-denominators", "lattice"])
+    def test_contributing_line_keys_and_sides(self, ps):
+        report = min_area_triangles(ps)
+        sides = set()
+        for summary, record in report.contributing:
+            assert summary.key == record.line == line_key(ps, *summary.witnesses[0])
+            sign = record.line.side_of(ps.points[record.nearest[0]])
+            assert record.side == {1: "above", -1: "below"}[sign]
+            sides.add(record.side)
+        assert sides == {"above", "below"}
 
     def test_tie_heavy_grid(self):
         import itertools
