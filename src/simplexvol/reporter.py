@@ -2,41 +2,42 @@
 minimum-nonzero-area triangles (2D), faster than the brute-force scan.
 
 The computation stays in the primal and runs on denominator-cleared integer
-coordinates, with coincident points merged into weighted sites:
+coordinates, with coincident points merged into weighted sites.  Both
+dimensions come down to one 2D problem, solved by _window_pairs: the least
+positive |W_x x W_z| over integer vectors W drawn from a base flat.  Only the
+shortest W of each direction can be in a minimal pair, and the directions
+are paired shortest first in angular windows that the running minimum
+narrows.
 
+* In 2D every triangle is found once, at its smallest site a, with W = c - a
+  over the later sites c.  A plane of a 3D set is scanned the same way after
+  its points are projected onto a coordinate plane.
 * In 3D every tetrahedron is found once, at its two smallest sites a < b.
   Projected along b - a, the volume is |b - a| times the area of the
-  projected triangle over three, so the pair needs the later sites nearest
-  to line ab in each plane through it, paired across planes by angle.  The
-  pairing runs in angular windows that the running minimum narrows; the
-  faces and apexes of the tied tetrahedra then give each contributing plane
-  and its empty slab, i.e. the nearest points on one side.
-* Inside a single plane, bucketing its points by the wedge moment relative
-  to a segment direction gives, per spanned line, the shortest segments
-  along it and the nearest off-line points (adjacent moment levels).
-* For a whole 2D point set a rotating sweep replaces the bucketing: the
-  points are kept in order of their moment about a direction that turns
-  through the directions of all point pairs by angle (the allowable sequence
-  of the set, the primal form of the walk through the dual line
-  arrangement).  At each direction every spanned line of it is a contiguous
-  block of the order, and the neighbouring runs of equal moment are its
-  nearest off-line points, so all lines are visited in O(n^2 log n) time,
-  with one record per pair of points.
+  projected triangle over three, so W is the projection of c - a.
 
-A minimum-volume tetrahedron is a minimum-area triangle of a plane with a
+The faces and apexes of the tied simplices then give each contributing line
+or plane and its nearest points on one side (its empty slab).  A
+minimum-volume tetrahedron is a minimum-area triangle of a plane with a
 nearest point on one side, once for each of its four faces, so the face
 products sum to four times the count.  The 2D analogue counts every
 minimum-area triangle once per side and divides by three.  Candidate measures
 are compared exactly as integer cross-products; reported values are exact
 rationals.
+
+On random points the scans grew as about n^2.05 (2D) and n^3.0 (3D); when
+the running minimum does not narrow the windows they take O(n^3) and O(n^4).
+The guaranteed O(n^2) minimum-area triangle through the dual line
+arrangement (Edelsbrunner, O'Rourke and Seidel, SIAM J. Comput. 1986) is not
+implemented.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable
 
@@ -151,138 +152,96 @@ class MinAreaReport:
 # scaled-integer internals
 
 
-def _shortest_runs(coords, pts, d):
-    """Minimum positive gap along a line of direction d, as the raw projection
-    difference, with every index pair between adjacent distinct positions.
-    Returns None when all points coincide."""
-    groups: dict[int, list[int]] = {}
-    for i in pts:
-        t = sum(dc * pc for dc, pc in zip(d, coords[i]))
-        groups.setdefault(t, []).append(i)
-    order = sorted(groups)
-    if len(order) < 2:
-        return None
-    min_gap = None
-    pairs: list[tuple[int, int]] = []
-    for t1, t2 in zip(order, order[1:]):
-        gap = t2 - t1
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-            pairs = [(i, j) for i in groups[t1] for j in groups[t2]]
-        elif gap == min_gap:
-            pairs.extend((i, j) for i in groups[t1] for j in groups[t2])
-    return min_gap, pairs
+def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
+    """Least positive |det(u, c - a, d - a)|, at most best, over the sites
+    c, d of view from start on, returned as (least, count, ties, classes).
+    view holds the sites as integer (i, j, k) triples and u is an integer
+    (i, j, k) vector with u_k != 0.  count sums the products of the site
+    weights over the pairs attaining least, and ties, with collect, lists
+    their (sites c, sites d); both are empty when no pair reaches best.
 
+    Along u every site c projects to the integer vector
+    W = u_k (c - a) - (c - a)_k u with coordinate k dropped, and
+    |det(u, c - a, d - a)| = |W_c x W_d| / |u_k|.  Sites with parallel W lie
+    on one plane through the line of u at a.  classes maps the exact angle
+    key of each such direction, floor(wy * scale_k / wx) or vertical for
+    wx == 0, to [r, wx, wy, weight, sites, members]: r = |W|^2 of its shortest
+    vectors, one of them, the summed weight and the sites at that length,
+    and the number of sites in the direction.  Sites with W == 0 are in none.
+    The keys are exact when scale_k exceeds the square of every entry of W,
+    as distinct slopes then differ by more than 1 / scale_k, and vertical
+    must be below every other key.
 
-def _plane_scan(coords, members):
-    """Minimum-area triangles among coplanar points, in scaled integer space.
-
-    Returns (area_num, area_den, count, n_lines, witnesses) with the squared
-    minimum area equal to area_num / area_den, or None when no positive-area
-    triangle exists.  Every line spanned by the members is combined with its
-    shortest segments and nearest off-line points; each minimal triangle is
-    found exactly three times, once per side.
+    Only the shortest W of a class can be in a minimal pair.  The classes, in
+    angle order, are paired shortest first with their neighbours up to a
+    right angle on each side, and each is deleted once paired.  Past a
+    neighbour z at angle theta, |W_x x W_z|^2 = r_x r_z sin^2 theta
+    >= r_x^2 sin^2 theta (r_z >= r_x) only grows, so a side stops once that
+    bound exceeds the running minimum.  Memory is O(len(view)) plus the ties.
     """
-    if len(members) == 3:
-        a, b, c = members
-        pa, pb, pc = coords[a], coords[b], coords[c]
-        if len(pa) == 3:
-            cs = sum(c * c for c in face_normal((pa, pb, pc))[0])
+    ui, uj, uk = u
+    ai, aj, ak = view[a]
+    e0, e1 = ui * ak - uk * ai, uj * ak - uk * aj
+    size = abs(uk)
+    classes: dict[int, list] = {}
+    for c in range(start, len(view)):
+        ci, cj, ck = view[c]
+        wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
+        if wx:
+            key = wy * scale_k // wx
+        elif wy:
+            key = vertical
         else:
-            cs = ((pb[0] - pa[0]) * (pc[1] - pa[1])
-                  - (pb[1] - pa[1]) * (pc[0] - pa[0])) ** 2
-        if cs == 0:
-            return None
-        return cs, 4, 1, 3, [(a, b, c)]
-
-    dim = len(coords[members[0]])
-    dirs = set()
-    for x, y in combinations(members, 2):
-        px, py = coords[x], coords[y]
-        diff = tuple(b - a for a, b in zip(px, py))
-        if any(diff):
-            dirs.add(primitive_vector(diff))
-    if not dirs:
-        return None
-
-    best_num = best_den = None
-    total_pairs = 0
-    n_lines = 0
-    wits: set[tuple[int, int, int]] = set()
-    for d in sorted(dirs):
-        dd = sum(c * c for c in d)
-        levels: dict[tuple[int, ...], list[int]] = {}
-        if dim == 3:
-            d0, d1, d2 = d
-            for i in members:
-                p0, p1, p2 = coords[i]
-                m = (d1 * p2 - d2 * p1, d2 * p0 - d0 * p2, d0 * p1 - d1 * p0)
-                levels.setdefault(m, []).append(i)
+            continue
+        r = wx * wx + wy * wy
+        cls = classes.get(key)
+        if cls is None or r < cls[0]:
+            # stored in the half-plane wx > 0 or wx == 0 > wy, whose angle
+            # order is the key order
+            if wx < 0 or (wx == 0 and wy > 0):
+                wx, wy = -wx, -wy
+            classes[key] = [r, wx, wy, weight[c], [c], 1 if cls is None else cls[5] + 1]
         else:
-            d0, d1 = d
-            for i in members:
-                p0, p1 = coords[i]
-                levels.setdefault((d0 * p1 - d1 * p0,), []).append(i)
-        keys = sorted(levels)
-        for pos, m in enumerate(keys):
-            pts = levels[m]
-            if len(pts) < 2:
-                continue
-            run = _shortest_runs(coords, pts, d)
-            if run is None:
-                continue
-            min_gap, seg_pairs = run
-            n_lines += 1
-            # nearest parallel levels; moments of coplanar points are
-            # collinear in moment space, so adjacent sorted keys are the
-            # geometric neighbors
-            dmin = None
-            near: list[int] = []
-            for m2 in (keys[pos - 1] if pos > 0 else None,
-                       keys[pos + 1] if pos + 1 < len(keys) else None):
-                if m2 is None:
-                    continue
-                dsq = sum((u - v) ** 2 for u, v in zip(m, m2))
-                if dmin is None or dsq < dmin:
-                    dmin = dsq
-                    near = list(levels[m2])
-                elif dsq == dmin:
-                    near.extend(levels[m2])
-            if dmin is None:
-                continue
-            a_num = min_gap * min_gap * dmin
-            a_den = 4 * dd * dd
-            if best_num is None or a_num * best_den < best_num * a_den:
-                best_num, best_den = a_num, a_den
-                total_pairs = len(seg_pairs) * len(near)
-                wits = {tuple(sorted((i, j, q))) for i, j in seg_pairs for q in near}
-            elif a_num * best_den == best_num * a_den:
-                total_pairs += len(seg_pairs) * len(near)
-                wits.update(tuple(sorted((i, j, q))) for i, j in seg_pairs for q in near)
-    if best_num is None:
-        return None
-    return best_num, best_den, total_pairs // 3, n_lines, sorted(wits)
-
-
-@dataclass
-class _Scan:
-    best_num: int | None = None
-    best_den: int | None = None
-    sum_products: int = 0
-    n_bases: int = 0          # spanned lines scanned
-    realized: tuple | None = None
-    payloads: list = field(default_factory=list)
-
-    def offer(self, num, den, products, realized, payload):
-        if self.best_num is None or num * self.best_den < self.best_num * den:
-            self.best_num, self.best_den = num, den
-            self.sum_products = products
-            self.realized = realized
-            self.payloads = [payload] if payload is not None else []
-        elif num * self.best_den == self.best_num * den:
-            self.sum_products += products
-            if payload is not None:
-                self.payloads.append(payload)
+            cls[5] += 1
+            if r == cls[0]:
+                cls[3] += weight[c]
+                cls[4].append(c)
+    count = 0
+    ties = []
+    n_cls = len(classes)
+    if n_cls < 2:
+        return best, count, ties, classes
+    # the classes in angle order, linked in a cycle
+    recs = [classes[key] for key in sorted(classes)]
+    nxt = list(range(1, n_cls)) + [0]
+    prv = [n_cls - 1] + list(range(n_cls - 1))
+    bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
+    for x in sorted(range(n_cls), key=[rec[0] for rec in recs].__getitem__):
+        rx, x0, x1, nx, sx, _ = recs[x]
+        for link, ahead in ((nxt, True), (prv, False)):
+            z = link[x]
+            while z != x:
+                rz, z0, z1, nz, sz, _ = recs[z]
+                dot = x0 * z0 + x1 * z1
+                if (z > x) != ahead:
+                    dot = -dot  # z wrapped past the end of the angle order
+                # beyond a right angle; the right angle itself is scanned ahead only
+                if dot < 0 or (dot == 0 and not ahead):
+                    break
+                cr = abs(x0 * z1 - x1 * z0)
+                if cr <= bound:
+                    least = cr // size
+                    if least < best:
+                        best, bound, count, ties = least, least * size, 0, []
+                    count += nx * nz
+                    if collect:
+                        ties.append((sx, sz))
+                elif rx * cr * cr > bound * bound * rz:
+                    break
+                z = link[z]
+        nxt[prv[x]] = nxt[x]
+        prv[nxt[x]] = prv[x]
+    return best, count, ties, classes
 
 
 def _edge_scan_3d(pts, weight, collect):
@@ -290,20 +249,12 @@ def _edge_scan_3d(pts, weight, collect):
     distinct points pts with weights (input points per site), returned as
     (det, count, n_planes, ties).  count is the number of index 4-subsets
     attaining det (0 when none spans), n_planes the number of spanned planes,
-    and ties, with collect, lists (a, b, sites c, sites d) of the tied sites.
+    and ties, with collect, lists the tied site tetrahedra (a, b, c, d).
 
-    Each 4-subset of sites is found once, at its two smallest sites a < b.
-    Along u = b - a every later site c projects to the integer vector
-    W = u_k (c - a) - (c - a)_k u with coordinate k dropped, k the largest
-    |u_k|, and |det| = |W_c x W_d| / |u_k|.  Sites with parallel W lie on one
-    plane through ab, and only the shortest W of such a class, the sites
-    nearest to line ab, can be in a minimal tetrahedron.  The classes, in
-    angle order, are paired shortest first with their neighbours up to a
-    right angle on each side, and each is deleted once paired.  Past a
-    neighbour z at angle theta, |W_x x W_z|^2 = r_x r_z sin^2 theta
-    >= r_x^2 sin^2 theta (r = |W|^2, r_z >= r_x) only grows, so a side stops
-    once that bound exceeds the running minimum.  Memory is O(n) per pair,
-    plus the ties.
+    Each 4-subset of sites is found once, at its two smallest sites a < b,
+    by _window_pairs along u = b - a over the later sites: its classes are
+    the planes through ab, and the shortest W of a class are the sites of
+    that plane nearest to line ab.  Memory is O(n) per pair, plus the ties.
     """
     m = len(pts)
     span = max(max(p[c] for p in pts) - min(p[c] for p in pts) for c in range(3))
@@ -313,17 +264,19 @@ def _edge_scan_3d(pts, weight, collect):
     # the coordinates as (i, j, k) with k the dropped one
     views = [[(p[1], p[2], p[0]) for p in pts], [(p[0], p[2], p[1]) for p in pts], pts]
     for a in range(m - 2):
+        x, y, z = pts[a]
         for b in range(a + 1, m - 1):
-            u = [q - p for p, q in zip(pts[a], pts[b])]
-            view = views[max(range(3), key=lambda c: abs(u[c]))]
+            dx, dy, dz = pts[b]
+            dx, dy, dz = abs(dx - x), abs(dy - y), abs(dz - z)
+            # k is the first coordinate with the largest |u_k|
+            view = views[0 if dx >= dy and dx >= dz else 1 if dy >= dz else 2]
             ai, aj, ak = view[a]
             bi, bj, bk = view[b]
             ui, uj, uk = bi - ai, bj - aj, bk - ak
             e0, e1 = ui * ak - uk * ai, uj * ak - uk * aj
             size = abs(uk)
-            # W's entries are at most mag in size (|u_k| is u's largest and
-            # no coordinate spans more than span), so distinct slopes differ
-            # by at least 1/mag^2 and floor(slope * scale_k) orders them exactly
+            # W's entries are at most mag in size, as |u_k| is u's largest
+            # and no coordinate spans more than span
             mag = 2 * size * span
             scale_k = mag * mag + 1
             vertical = -mag * scale_k - 1
@@ -342,64 +295,65 @@ def _edge_scan_3d(pts, weight, collect):
                 else:
                     below = None
                     break
-            classes: dict[int, list] = {}
-            for c in range(b + 1, m):
-                ci, cj, ck = view[c]
-                wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
-                if wx:
-                    key = wy * scale_k // wx
-                elif wy:
-                    key = vertical
-                else:
-                    continue  # c is on line ab
-                r = wx * wx + wy * wy
-                cls = classes.get(key)
-                if cls is None or r < cls[0]:
-                    # stored in the half-plane wx > 0 or wx == 0 > wy, whose
-                    # angle order is the key order
-                    if wx < 0 or (wx == 0 and wy > 0):
-                        wx, wy = -wx, -wy
-                    classes[key] = [r, wx, wy, weight[c], [c]]
-                elif r == cls[0]:
-                    cls[3] += weight[c]
-                    cls[4].append(c)
+            least, pairs, tied, classes = _window_pairs(
+                view, a, (ui, uj, uk), b + 1, weight, scale_k, vertical, best, collect)
             if below is not None:
                 n_planes += len(classes.keys() - below)
-            n_cls = len(classes)
-            if n_cls < 2:
-                continue
-            # the classes in angle order, linked in a cycle
-            recs = [classes[key] for key in sorted(classes)]
-            nxt = list(range(1, n_cls)) + [0]
-            prv = [n_cls - 1] + list(range(n_cls - 1))
-            wab = weight[a] * weight[b]
-            bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
-            for x in sorted(range(n_cls), key=[rec[0] for rec in recs].__getitem__):
-                rx, x0, x1, nx, sx = recs[x]
-                for link, ahead in ((nxt, True), (prv, False)):
-                    z = link[x]
-                    while z != x:
-                        rz, z0, z1, nz, sz = recs[z]
-                        dot = x0 * z0 + x1 * z1
-                        if (z > x) != ahead:
-                            dot = -dot  # z wrapped past the end of the angle order
-                        # beyond a right angle; the right angle itself is scanned ahead only
-                        if dot < 0 or (dot == 0 and not ahead):
-                            break
-                        cr = abs(x0 * z1 - x1 * z0)
-                        if cr <= bound:
-                            det = cr // size
-                            if det < best:
-                                best, bound, count, ties = det, det * size, 0, []
-                            count += wab * nx * nz
-                            if collect:
-                                ties.append((a, b, sx, sz))
-                        elif rx * cr * cr > bound * bound * rz:
-                            break
-                        z = link[z]
-                nxt[prv[x]] = nxt[x]
-                prv[nxt[x]] = prv[x]
+            if least < best:
+                best, count, ties = least, 0, []
+            count += weight[a] * weight[b] * pairs
+            ties += [(a, b, c, d) for cs, ds in tied for c in cs for d in ds]
     return best, count, n_planes, ties
+
+
+def _triangle_scan(xy, weight, collect):
+    """Least positive |(c - a) x (d - a)| over the (x, y)-sorted distinct
+    points xy with weights, returned as (cross, count, n_lines, ties).  count
+    is the number of index triples attaining cross (0 when all points are
+    collinear), n_lines the number of spanned lines, and ties, with collect,
+    lists the tied site triangles (a, c, d).
+
+    Each triangle of sites is found once, at its smallest site a, by
+    _window_pairs over the later sites: placed in the plane z == 0 and
+    projected along u = (0, 0, 1), a site c gives W = c - a, and
+    |det(u, c - a, d - a)| is the cross product.  A line through k
+    sites is a class at each of its first k - 1 sites, with k - 1 down to 1
+    members, so the classes with one member count the lines.  Memory is O(n)
+    plus the ties.
+    """
+    span = max(xy[-1][0] - xy[0][0], max(y for _, y in xy) - min(y for _, y in xy))
+    scale_k = span * span + 1
+    vertical = -span * scale_k - 1
+    best = 2 * span * span + 1  # above every |cross|
+    count = n_lines = 0
+    ties = []
+    view = [(x, y, 0) for x, y in xy]
+    for a in range(len(xy)):
+        least, pairs, tied, classes = _window_pairs(
+            view, a, (0, 0, 1), a + 1, weight, scale_k, vertical, best, collect)
+        n_lines += sum(cls[5] == 1 for cls in classes.values())
+        if least < best:
+            best, count, ties = least, 0, []
+        count += weight[a] * pairs
+        ties += [(a, c, d) for cs, ds in tied for c in cs for d in ds]
+    return best, count, n_lines, ties
+
+
+def _sites(coords, indices):
+    """The distinct points coords[i] over indices, sorted, and the indices at
+    each: coincident points merge into one weighted site."""
+    sites: dict[tuple[int, ...], list[int]] = {}
+    for i in indices:
+        sites.setdefault(coords[i], []).append(i)
+    pts = sorted(sites)
+    return pts, [sites[p] for p in pts]
+
+
+def _expand(simplices, idx):
+    """The sorted index tuples of the site simplices, idx[s] the input
+    indices at site s."""
+    return sorted(tuple(sorted(w)) for simplex in simplices
+                  for w in product(*(idx[s] for s in simplex)))
 
 
 def _contributing_3d(pts, idx, tets, scale):
@@ -446,7 +400,7 @@ def _contributing_3d(pts, idx, tets, scale):
                 dx, dy, dz = dx // c, dy // c, dz // c
                 lines.add((dx, dy, dz, dy * z - dz * y, dz * x - dx * z, dx * y - dy * x))
             incident = tuple(sorted(i for s in on for i in idx[s]))
-            tri = sorted(tuple(sorted(w)) for f in faces for w in product(*(idx[s] for s in f)))
+            tri = _expand(faces, idx)
             normal = face_normal([pts[s] for s in next(iter(faces))])[0]
             summary = summaries[g, t] = PlaneSummary(
                 key=integer_hyperplane_key(g, t, scale),
@@ -469,112 +423,69 @@ def _contributing_3d(pts, idx, tets, scale):
     return tuple(contrib)
 
 
-def _angle_records(xy):
-    """Records (key, d0, d1, a, b), one per pair a < b of the (x, y)-sorted
-    distinct points xy, sorted by the angle of the primitive direction d of
-    b - a, which has d0 > 0 or is (0, 1).  The key floor(d1 * span^2 / d0) is
-    exact: slopes with denominators at most span differ by at least
-    1 / span^2.  The vertical gets span^3 + 1, above every other key."""
-    span = max(xy[-1][0] - xy[0][0], max(y for _, y in xy) - min(y for _, y in xy))
-    k = span * span
-    vertical = span * k + 1
-    gcd = math.gcd
-    records = []
-    append = records.append
-    for a in range(len(xy) - 1):
-        ax, ay = xy[a]
-        for b in range(a + 1, len(xy)):
-            bx, by = xy[b]
-            d0, d1 = bx - ax, by - ay
-            g = gcd(d0, d1)
-            d0 //= g
-            d1 //= g
-            append((d1 * k // d0 if d0 else vertical, d0, d1, a, b))
-    records.sort()
-    return records
+def _contributing_2d(xy, idx, tris, scale):
+    """(LineSummary, LineSideRecord) pairs of the site triangles tris, one per
+    (line, side) of their edges, ordered by direction, moment, below first.
 
-
-def _sweep_2d(xy, idx, records, collect) -> _Scan:
-    """Rotating sweep over the (x, y)-sorted distinct points xy, with idx[s]
-    the input indices at point s, through the directions of `records`.
-
-    The order holds the points by moment m = d0*y - d1*x about a direction
-    just past the last one passed; (x, y) is that order just past the
-    vertical.  Just before d, each line of direction d is a contiguous block
-    of the order sorted by t = d . p, and the runs of equal moment beside it
-    are its nearest off-line points.  Passing d reverses every block, so the
-    order must end reversed.  A broken invariant raises RuntimeError.
+    Every edge of a minimal triangle is a shortest segment of its line and
+    its apex a nearest point on that side, so the edges and apexes that share
+    a (line, side) are all of that line's shortest segments and all of that
+    side's nearest points.
     """
-    scan = _Scan()
-    n = len(xy)
-    weight = [len(i) for i in idx]
-    order = list(range(n))
-    pos = list(range(n))
-    for _, group in groupby(records, key=itemgetter(0)):
-        lines: dict[int, set[int]] = {}
-        for _, d0, d1, a, b in group:
-            x, y = xy[a]
-            members = lines.setdefault(d0 * y - d1 * x, set())
-            members.add(a)
-            members.add(b)
+    lines: dict[tuple[int, int], tuple[int, int, int]] = {}
+    groups: dict[tuple, tuple[set, set, int]] = {}
+    for tri in tris:
+        a, b, c = sorted(tri)
+        for edge, apex in (((b, c), a), ((a, c), b), ((a, b), c)):
+            line = lines.get(edge)
+            if line is None:
+                # the line is d0 * y - d1 * x == m with d primitive, which
+                # leads positive as the sites are sorted
+                (x, y), (x2, y2) = xy[edge[0]], xy[edge[1]]
+                g = math.gcd(x2 - x, y2 - y)
+                d0, d1 = (x2 - x) // g, (y2 - y) // g
+                line = lines[edge] = (d0, d1, d0 * y - d1 * x)
+            # the apex is above iff dm < 0
+            d0, d1, m = line
+            x, y = xy[apex]
+            dm = m - d0 * y + d1 * x
+            edges, apexes, _ = groups.setdefault(line + (dm < 0,), (set(), set(), dm))
+            edges.add(edge)
+            apexes.add(apex)
+    # the sites of every line in the contributing directions
+    on: dict[tuple[int, int, int], list[int]] = {}
+    for d0, d1 in {key[:2] for key in groups}:
+        for s, (x, y) in enumerate(xy):
+            on.setdefault((d0, d1, d0 * y - d1 * x), []).append(s)
+    summaries: dict[tuple, LineSummary] = {}
+    contrib = []
+    for (d0, d1, m, above), (edges, apexes, dm) in sorted(groups.items(), key=itemgetter(0)):
         dd = d0 * d0 + d1 * d1
-        blocks = []
-        for m, members in lines.items():
-            block = sorted(members, key=pos.__getitem__)
-            lo, hi = pos[block[0]], pos[block[-1]]
-            if hi - lo + 1 != len(block):
-                raise RuntimeError("rotating sweep: a line's points are not contiguous")
-            blocks.append((lo, hi))
-            scan.n_bases += 1
-            ts = [d0 * xy[c][0] + d1 * xy[c][1] for c in block]
-            min_gap = None
-            segs: list[int] = []
-            for u in range(len(block) - 1):
-                gap = ts[u + 1] - ts[u]
-                if gap <= 0:
-                    raise RuntimeError("rotating sweep: a line's points are out of order")
-                if min_gap is None or gap < min_gap:
-                    min_gap, segs = gap, [u]
-                elif gap == min_gap:
-                    segs.append(u)
-            seg_count = 0
-            for u in segs:
-                seg_count += weight[block[u]] * weight[block[u + 1]]
-            seg_i, seg_j = idx[block[segs[0]]][0], idx[block[segs[0] + 1]][0]
-            for side, step, q in ((0, -1, lo - 1), (1, 1, hi + 1)):
-                if not 0 <= q < n:
-                    continue
-                x, y = xy[order[q]]
-                m2 = d0 * y - d1 * x
-                if (m2 - m) * step <= 0:
-                    raise RuntimeError("rotating sweep: the order is not sorted by moment")
-                run = [order[q]]
-                near_count = weight[order[q]]
-                q += step
-                while 0 <= q < n:
-                    x, y = xy[order[q]]
-                    if d0 * y - d1 * x != m2:
-                        break
-                    run.append(order[q])
-                    near_count += weight[order[q]]
-                    q += step
-                dm = m - m2
-                payload = None
-                if collect:
-                    pairs = [(i, j) for u in segs
-                             for i in idx[block[u]] for j in idx[block[u + 1]]]
-                    payload = ((d0, d1), m, side, dd, [i for c in block for i in idx[c]],
-                               min_gap, pairs, dm, [i for c in run for i in idx[c]])
-                # area^2 = seg_sq * dist_sq / 4 = gap^2 dm^2 / (4 dd^2)
-                scan.offer(min_gap * min_gap * dm * dm, 4 * dd * dd, seg_count * near_count,
-                           (seg_i, seg_j, idx[run[0]][0]), payload)
-        for lo, hi in blocks:
-            order[lo:hi + 1] = reversed(order[lo:hi + 1])
-            for q in range(lo, hi + 1):
-                pos[order[q]] = q
-    if order != list(range(n - 1, -1, -1)):
-        raise RuntimeError("rotating sweep: the order did not end reversed")
-    return scan
+        summary = summaries.get((d0, d1, m))
+        if summary is None:
+            incident = tuple(sorted(i for s in on[d0, d1, m] for i in idx[s]))
+            segments = _expand(edges, idx)
+            (x, y), (x2, y2) = (xy[s] for s in next(iter(edges)))
+            summary = summaries[d0, d1, m] = LineSummary(
+                # the scaled line passes nearest the origin at m * (-d1, d0) / dd
+                key=LineKey(direction=(d0, d1), anchor=(Fraction(-m * d1, dd * scale),
+                                                        Fraction(m * d0, dd * scale))),
+                incident=incident,
+                n_points=len(incident),
+                min_length_sq=Fraction((x2 - x) ** 2 + (y2 - y) ** 2, scale ** 2),
+                count=len(segments),
+                witnesses=tuple(segments),
+            )
+        nearest = tuple(sorted(i for s in apexes for i in idx[s]))
+        record = LineSideRecord(
+            line=summary.key,
+            side="above" if above else "below",
+            dist_sq=Fraction(dm * dm, dd * scale ** 2),
+            count=len(nearest),
+            nearest=nearest,
+        )
+        contrib.append((summary, record))
+    return tuple(contrib)
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +506,16 @@ def shortest_segments_on_line(ps: PointSet, indices: Iterable[int]) -> SegmentRu
         if not key.contains(ps.points[i]):
             raise DegenerateInput(f"point {i} is not on the common line")
     d = key.direction
-    min_gap, pairs = _shortest_runs(ps.points, idx, d)
-    dd = sum(c * c for c in d)
-    pairs = sorted(tuple(sorted(p)) for p in pairs)
-    return SegmentRun(min_length_sq=min_gap * min_gap / dd, count=len(pairs),
-                      pairs=tuple(pairs))
+    # the points by position d . p along the line, coincident ones together
+    groups: dict[Fraction, list[int]] = {}
+    for i in idx:
+        groups.setdefault(sum(c * x for c, x in zip(d, ps.points[i])), []).append(i)
+    order = sorted(groups)
+    min_gap = min(t2 - t1 for t1, t2 in zip(order, order[1:]))
+    pairs = sorted(tuple(sorted((i, j))) for t1, t2 in zip(order, order[1:])
+                   if t2 - t1 == min_gap for i in groups[t1] for j in groups[t2])
+    return SegmentRun(min_length_sq=min_gap * min_gap / sum(c * c for c in d),
+                      count=len(pairs), pairs=tuple(pairs))
 
 
 def _noncollinear_triple(ps: PointSet, indices):
@@ -622,10 +538,10 @@ def min_area_triangles_in_plane(ps: PointSet,
                                 indices: Iterable[int] | None = None) -> PlaneSummary:
     """Minimum-nonzero-area triangles among a coplanar subset.
 
-    The subset must lie in a common plane (trivially true for 2D input); the
-    scan combines, for every line spanned inside the plane, the shortest
-    segments along it with the off-line points nearest to it, which takes
-    O(n_h * l_h) line visits.
+    The subset must lie in a common plane (trivially true for 2D input).  Its
+    points are projected onto the coordinate plane that drops the largest
+    entry N_k of the plane's normal N, which scales every area by |N_k| / |N|
+    and keeps everything else, and then scanned as in min_area_triangles.
     """
     if ps.dim not in (2, 3):
         raise DimensionMismatch("min-area scan supports 2D and 3D point sets")
@@ -642,18 +558,22 @@ def min_area_triangles_in_plane(ps: PointSet,
             if not key.contains(ps.points[i]):
                 raise DegenerateInput(f"point {i} is not on the plane of the others")
     coords, scale = integer_coordinates(ps)
-    scanned = _plane_scan(coords, idx)
-    if scanned is None:
+    # a 2D set is the plane z == 0, whose dropped coordinate is absent
+    normal = key.normal if key else (0, 0, 1)
+    k = max(range(3), key=lambda c: abs(normal[c]))
+    xy, sites = _sites({i: coords[i][:k] + coords[i][k + 1:] for i in idx}, idx)
+    cross, count, n_lines, tris = _triangle_scan(xy, [len(s) for s in sites], True)
+    if not count:
         raise AllDegenerate("all incident points are collinear")
-    a_num, a_den, m_count, n_lines, wits = scanned
     return PlaneSummary(
         key=key,
         incident=tuple(idx),
         n_points=len(idx),
         n_lines=n_lines,
-        min_area_sq=Fraction(a_num, a_den * scale ** 4),
-        count=m_count,
-        witnesses=tuple(wits),
+        min_area_sq=Fraction(cross * cross * sum(c * c for c in normal),
+                             4 * normal[k] ** 2 * scale ** 4),
+        count=count,
+        witnesses=tuple(_expand(tris, sites)),
     )
 
 
@@ -708,12 +628,8 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
     if len(ps) < 4:
         raise AllDegenerate("fewer than four points cannot span a tetrahedron")
     coords, scale = integer_coordinates(ps)
-    sites: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(coords):
-        sites.setdefault(p, []).append(i)
-    pts = sorted(sites)
-    idx = [sites[p] for p in pts]
-    det, count, n_planes, ties = _edge_scan_3d(pts, [len(i) for i in idx], witnesses)
+    pts, idx = _sites(coords, range(len(ps)))
+    det, count, n_planes, tets = _edge_scan_3d(pts, [len(i) for i in idx], witnesses)
     if not count:
         raise AllDegenerate("all points are coplanar" if n_planes else "all points are collinear")
     min_volume = Fraction(det, 6 * scale ** 3)
@@ -721,8 +637,7 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
     wit_list = None
     contributing = None
     if witnesses:
-        tets = [(a, b, c, d) for a, b, cs, ds in ties for c in cs for d in ds]
-        full = sorted(tuple(sorted(w)) for tet in tets for w in product(*(idx[s] for s in tet)))
+        full = _expand(tets, idx)
         if max_witnesses is not None:
             full = full[:max_witnesses]
         wit_list = tuple(full)
@@ -742,79 +657,42 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True,
                        max_witnesses: int | None = None) -> MinAreaReport:
     """Report all triangles of minimum nonzero area of a 2D point set.
 
-    Primal analogue of the 3D reporter: for every spanned line, shortest
-    segments are paired with the nearest off-line points per side; every
-    minimal triangle arises exactly three times.  The lines are visited by a
-    rotating sweep over the order of the points, the allowable-sequence form
-    of the walk through the dual line arrangement (Edelsbrunner, O'Rourke
-    and Seidel), after coincident points are merged.
-    Time is O(n^2 log n), for sorting the pair directions by angle; memory is
-    O(n^2) for one record per pair of distinct points, plus the witnesses
-    when they are requested.
+    Coincident points are merged, and each point a scans the vectors to the
+    later points c: the points of each line through a nearest to a are
+    paired in angular windows that the running minimum bounds, and every
+    triangle is found once, at its smallest point.  On random points the
+    time grew as about n^2.05 (n = 200..800); the worst case, windows that
+    the minimum does not narrow, is O(n^3).  Working memory is O(n); with
+    witnesses the tied triangles are kept too, and the witness triangles and
+    the contributing (line, side) pairs are materialized from them.
     """
     if ps.dim != 2:
         raise DimensionMismatch(f"need a 2D point set, got dim {ps.dim}")
     if len(ps) < 3:
         raise AllDegenerate("fewer than three points cannot span a triangle")
     coords, scale = integer_coordinates(ps)
-    sites: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(coords):
-        sites.setdefault(p, []).append(i)
-    if len(sites) < 2:
+    xy, idx = _sites(coords, range(len(ps)))
+    if len(xy) < 2:
         raise AllDegenerate("all points coincide")
-    xy = sorted(sites)
-    merged = _sweep_2d(xy, [sites[p] for p in xy], _angle_records(xy), witnesses)
-    if merged.best_num is None:
+    cross, count, n_lines, tris = _triangle_scan(xy, [len(i) for i in idx], witnesses)
+    if not count:
         raise AllDegenerate("all points are collinear")
+    min_area = Fraction(cross, 2 * scale ** 2)
 
-    pa, pb, pc = (coords[i] for i in merged.realized)
-    cross = (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
-    min_area = Fraction(abs(cross), 2 * scale ** 2)
-
-    count = merged.sum_products // 3
     wit_list = None
     contributing = None
     if witnesses:
-        wit_set: set[tuple[int, int, int]] = set()
-        contrib = []
-        # contributing pairs are listed by (direction, moment, side)
-        for ((d0, d1), m, _, dd, pts, min_gap, seg_pairs, dm, near) in sorted(
-                merged.payloads, key=itemgetter(0, 1, 2)):
-            for (a, b) in seg_pairs:
-                for q in near:
-                    wit_set.add(tuple(sorted((a, b, q))))
-            # the line d0*y - d1*x == m (scaled) passes nearest the origin at
-            # m*(-d1, d0)/dd; its nearest points (moment m - dm) are above iff dm < 0
-            key = LineKey(direction=(d0, d1), anchor=(Fraction(-m * d1, dd * scale),
-                                                      Fraction(m * d0, dd * scale)))
-            side = "above" if dm < 0 else "below"
-            summary = LineSummary(
-                key=key,
-                incident=tuple(sorted(pts)),
-                n_points=len(pts),
-                min_length_sq=Fraction(min_gap * min_gap, dd * scale ** 2),
-                count=len(seg_pairs),
-                witnesses=tuple(sorted(tuple(sorted(p)) for p in seg_pairs)),
-            )
-            record = LineSideRecord(
-                line=key,
-                side=side,
-                dist_sq=Fraction(dm * dm, dd * scale ** 2),
-                count=len(near),
-                nearest=tuple(sorted(near)),
-            )
-            contrib.append((summary, record))
-        full = sorted(wit_set)
+        full = _expand(tris, idx)
         if max_witnesses is not None:
             full = full[:max_witnesses]
         wit_list = tuple(full)
-        contributing = tuple(contrib)
+        contributing = _contributing_2d(xy, idx, tris, scale)
     return MinAreaReport(
         min_area=min_area,
         min_area_sq=min_area * min_area,
         count=count,
-        sum_side_products=merged.sum_products,
-        n_lines=merged.n_bases,
+        sum_side_products=3 * count,
+        n_lines=n_lines,
         witnesses=wit_list,
         contributing=contributing,
     )

@@ -28,7 +28,6 @@ from simplexvol import (
     spanned_planes,
     squared_distance_point_plane,
 )
-from simplexvol.reporter import _angle_records, _sweep_2d
 from helpers import random_spanning
 
 LINE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]
@@ -96,6 +95,12 @@ def tie_heavy_3d(draw):
     rows = [(F(x, primes[0]) + F(1, 7), F(y + shear * x, primes[1]), F(z + shear * y, primes[2]))
             for x, y, z in draw(st.permutations(pts))]
     return PointSet(rows, allow_duplicates=True)
+
+
+def spanned_line_count(ps):
+    """Number of distinct lines through two distinct points, by line_key."""
+    return len({line_key(ps, i, j) for i, j in itertools.combinations(range(len(ps)), 2)
+                if ps.points[i] != ps.points[j]})
 
 
 class TestShortestSegments:
@@ -167,6 +172,37 @@ class TestMinAreaInPlane:
         assert summary.key.normal == (0, 0, 1)
         assert summary.min_area_sq == F(1, 4)
         assert summary.count == 2
+
+    def test_tilted_planes_match_oracle(self):
+        # an affine map into a tilted plane with mixed-denominator axes keeps
+        # ratios of areas, collinearity and ties; the in-plane scan drops the
+        # normal's largest coordinate and rescales the area by |N|^2 / N_k^2
+        checked = 0
+        for seed in range(40):
+            rnd = random.Random(seed)
+            pre = gen_random_rational(4 + seed % 12, 2, seed=7000 + seed, bound=4)
+            origin = [F(rnd.randint(-3, 3), 11) for _ in range(3)]
+            u = [F(rnd.randint(-4, 4), rnd.choice([1, 2, 3, 5])) for _ in range(3)]
+            v = [F(rnd.randint(-4, 4), rnd.choice([1, 7, 13])) for _ in range(3)]
+            normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                      u[0] * v[1] - u[1] * v[0]]
+            if not any(normal):
+                continue
+            rows = [[o + x * a + y * b for o, a, b in zip(origin, u, v)] for x, y in pre.points]
+            sub = PointSet(rows)
+            ps = PointSet(rows + [[o + c for o, c in zip(origin, normal)]])
+            try:
+                oracle = min_volume_simplices(sub, 2)
+            except AllDegenerate:
+                continue
+            summary = min_area_triangles_in_plane(ps, range(len(sub)))
+            assert summary.key == plane_key(ps, oracle.witnesses[0])
+            assert summary.min_area_sq == oracle.min_squared_volume
+            assert summary.count == oracle.count
+            assert summary.witnesses == oracle.witnesses
+            assert summary.n_lines == spanned_line_count(pre)
+            checked += 1
+        assert checked >= 30
 
     def test_non_coplanar_subset_rejected(self):
         ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 7)])
@@ -363,6 +399,18 @@ class TestMinVolumeTetrahedra:
             min_volume_tetrahedra(ps)
 
 
+CONTRIBUTING_2D = pytest.mark.parametrize("ps", [
+    random_spanning(12, 2, seed=4),
+    # mixed prime denominators: the scale is 2*3*5*7*11, and the line
+    # anchors on the scaled points share factors with it
+    PointSet([(F(1, 2), 0), (0, F(1, 3)), (F(1, 5), F(1, 7)), (1, F(2, 11)),
+              (F(3, 7), F(4, 5)), (F(5, 3), F(1, 2)), (F(2, 11), F(7, 5)),
+              (F(6, 5), F(8, 7))]),
+    # a small lattice: many tied lines, both sides of most of them
+    PointSet(list(itertools.product(range(3), range(4)))),
+], ids=["random", "prime-denominators", "lattice"])
+
+
 class TestMinAreaTriangles:
     def test_unit_square(self):
         ps = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -394,16 +442,21 @@ class TestMinAreaTriangles:
             checked += 1
         assert checked >= 50
 
-    @pytest.mark.parametrize("ps", [
-        random_spanning(12, 2, seed=4),
-        # mixed prime denominators: the scale is 2*3*5*7*11, and the line
-        # anchors on the scaled points share factors with it
-        PointSet([(F(1, 2), 0), (0, F(1, 3)), (F(1, 5), F(1, 7)), (1, F(2, 11)),
-                  (F(3, 7), F(4, 5)), (F(5, 3), F(1, 2)), (F(2, 11), F(7, 5)),
-                  (F(6, 5), F(8, 7))]),
-        # a small lattice: many tied lines, both sides of most of them
-        PointSet(list(itertools.product(range(3), range(4)))),
-    ], ids=["random", "prime-denominators", "lattice"])
+    @CONTRIBUTING_2D
+    def test_contributing_records_consistent(self, ps):
+        report = min_area_triangles(ps)
+        total = 0
+        for summary, record in report.contributing:
+            assert summary.count == len(summary.witnesses)
+            assert record.count == len(record.nearest)
+            # area^2 = length_sq * dist_sq / 4 must equal the reported minimum
+            assert summary.min_length_sq * record.dist_sq / 4 == report.min_area_sq
+            assert summary.incident == tuple(
+                i for i, p in enumerate(ps.points) if summary.key.contains(p))
+            total += summary.count * record.count
+        assert total == report.sum_side_products
+
+    @CONTRIBUTING_2D
     def test_contributing_line_keys_and_sides(self, ps):
         report = min_area_triangles(ps)
         sides = set()
@@ -450,10 +503,11 @@ class TestMinAreaTriangles:
         assert report.witnesses == tuple(sorted(oracle.witnesses))
         assert report.sum_side_products == 3 * report.count
 
-    def test_sweep_raises_when_directions_are_out_of_order(self):
-        xy = list(itertools.product(range(3), repeat=2))
-        idx = [[i] for i in range(len(xy))]
-        records = _angle_records(xy)
-        assert _sweep_2d(xy, idx, records, False).n_bases == 20
-        with pytest.raises(RuntimeError, match="rotating sweep"):
-            _sweep_2d(xy, idx, records[::-1], False)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(tie_heavy_2d())
+    def test_n_lines_counts_spanned_lines(self, ps):
+        try:
+            report = min_area_triangles(ps, witnesses=False)
+        except AllDegenerate:
+            return
+        assert report.n_lines == spanned_line_count(ps)
