@@ -258,7 +258,7 @@ def cmd_bench(args) -> int:
                 oracle_seconds.append(time.perf_counter() - start)
         else:
             oracle_seconds.append(None)
-    slope = _loglog_slope(sizes, seconds) if len(sizes) >= 2 else None
+    slope = _loglog_slope(sizes, seconds) if len(set(sizes)) >= 2 else None
     results = {
         "sizes": sizes,
         "seconds": seconds,
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except (AllDegenerate, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -19,8 +19,8 @@ from .exact import (
     DimensionMismatch,
     PointSet,
     face_normal,
-    hyperplane_key,
     integer_coordinates,
+    integer_hyperplane_key,
     primitive_vector,
     squared_volume,
 )
@@ -199,10 +199,11 @@ def distinct_areas_from_point(ps: PointSet, p1: int) -> DistinctAreaResult:
     )
 
 
-def _distinct_apex_volumes(coords, face, n) -> set[int]:
-    """Distinct positive |det| over simplices face + {q}, scaled integers."""
+def _distinct_apex_volumes(coords, face, apexes) -> set[int]:
+    """Distinct positive |det| over simplices face + {q}, q in apexes, scaled
+    integers."""
     normal, offset = face_normal([coords[i] for i in face])
-    seen = {abs(sum(map(mul, normal, coords[q])) - offset) for q in range(n) if q not in face}
+    seen = {abs(sum(map(mul, normal, coords[q])) - offset) for q in apexes if q not in face}
     seen.discard(0)
     return seen
 
@@ -212,11 +213,16 @@ def best_common_face(ps: PointSet, mode: str = "exhaustive") -> CommonFaceResult
     of distinct volumes.
 
     mode="exhaustive" scans every nondegenerate (d-1)-simplex and maximizes
-    the distinct-volume count (guarded to 10^6 face candidates).
+    the distinct-volume count: C(n, d) faces times n - d apexes, guarded to
+    10^6 face candidates.
     mode="heuristic" is the constructive search: take a (d-1)-tuple spanning
-    the most distinct hyperplanes, keep the smallest-index representative per
-    hyperplane, project along the tuple's flat, and extend the tuple by the
-    partner maximizing distinct areas in the projection.
+    the most distinct hyperplanes (C(n, d-1) * (n - d + 1) face normals),
+    keep the smallest-index representative per hyperplane, and extend the
+    tuple by the representative whose simplices over the representatives
+    have the most distinct volumes.  These volumes are the areas of the
+    triangles in the projection along the tuple's flat times one constant
+    (see check_projection_volume_identity), so the partner is the one the
+    planar distinct-area search picks there.
     """
     d = ps.dim
     n = len(ps)
@@ -230,63 +236,40 @@ def best_common_face(ps: PointSet, mode: str = "exhaustive") -> CommonFaceResult
             raise ValueError(
                 f"C({n},{d}) face candidates exceed the exhaustive budget; "
                 "use mode='heuristic'")
-        best = None
-        for face in combinations(range(n), d):
-            vols = _distinct_apex_volumes(coords, face, n)
-            if vols and (best is None or len(vols) > len(best[1])):
-                best = (face, vols)
-        if best is None:
+        faces = combinations(range(n), d)
+    elif mode == "heuristic":
+        if d < 2:
+            raise DimensionMismatch("the heuristic search needs ambient dimension >= 2")
+        # the (d-1)-tuple spanning the most distinct hyperplanes, each kept
+        # with its smallest point q
+        best_tuple, best_planes = None, {}
+        for tup in combinations(range(n), d - 1):
+            planes: dict = {}
+            for q in range(n):
+                if q in tup:
+                    continue
+                normal, offset = face_normal([coords[i] for i in tup + (q,)])
+                if any(normal):
+                    planes.setdefault(integer_hyperplane_key(normal, offset), q)
+            if len(planes) > len(best_planes):
+                best_tuple, best_planes = tup, planes
+        if len(best_planes) < 2:
             raise AllDegenerate("the point set lies in a hyperplane")
-        face, vols = best
-        return CommonFaceResult(
-            face=face,
-            distinct_count=len(vols),
-            volumes=tuple(Fraction(v, denom) for v in sorted(vols)),
-            mode=mode,
-        )
-
-    if mode != "heuristic":
+        reps = sorted(best_planes.values())
+        partner = max(reps, key=lambda r: len(
+            _distinct_apex_volumes(coords, best_tuple + (r,), reps)))
+        faces = [tuple(sorted(best_tuple + (partner,)))]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if d < 2:
-        raise DimensionMismatch("the heuristic search needs ambient dimension >= 2")
 
-    # 1. the (d-1)-tuple participating in the most distinct spanned hyperplanes
-    best_tuple = None
-    best_planes: dict | None = None
-    for tup in combinations(range(n), d - 1):
-        if len(tup) >= 2 and squared_volume(ps, tup) == 0:
-            continue
-        planes: dict = {}
-        for q in range(n):
-            if q in tup:
-                continue
-            try:
-                key = hyperplane_key(ps, tup + (q,))
-            except DegenerateInput:
-                continue
-            planes.setdefault(key, q)  # q ascending: first seen is smallest
-        if best_planes is None or len(planes) > len(best_planes):
-            best_tuple, best_planes = tup, planes
-    if best_planes is None or len(best_planes) < 2:
+    best = None
+    for face in faces:
+        vols = _distinct_apex_volumes(coords, face, range(n))
+        if vols and (best is None or len(vols) > len(best[1])):
+            best = (face, vols)
+    if best is None:
         raise AllDegenerate("the point set lies in a hyperplane")
-
-    # 2. one representative point per hyperplane
-    reps = sorted(best_planes.values())
-
-    # 3. project along the tuple's flat; the tuple collapses to one image point
-    base_pt = ps.points[best_tuple[0]]
-    dirs = [tuple(c - b for c, b in zip(ps.points[i], base_pt))
-            for i in best_tuple[1:]]
-    proj = project_orthogonal(ps, dirs)
-    image_rows = [proj.points.points[i] for i in reps] + [proj.points.points[best_tuple[0]]]
-    sub = PointSet(image_rows, dim=2, allow_duplicates=True)
-
-    # 4. the distinct-area search at the flat's image point
-    result = distinct_areas_from_point(sub, len(reps))
-    partner = reps[result.best_partner]
-    face = tuple(sorted(best_tuple + (partner,)))
-
-    vols = _distinct_apex_volumes(coords, face, n)
+    face, vols = best
     return CommonFaceResult(
         face=face,
         distinct_count=len(vols),

@@ -606,8 +606,7 @@ def empty_slabs(ps: PointSet, plane: HyperplaneKey) -> tuple[SlabRecord | None, 
     return out[0], out[1]
 
 
-def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
-                          max_witnesses: int | None = None) -> MinVolumeReport:
+def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeReport:
     """Report all tetrahedra of minimum nonzero volume of a 3D point set.
 
     Coincident points are merged, and each pair of points a < b scans the
@@ -637,10 +636,7 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
     wit_list = None
     contributing = None
     if witnesses:
-        full = _expand(tets, idx)
-        if max_witnesses is not None:
-            full = full[:max_witnesses]
-        wit_list = tuple(full)
+        wit_list = tuple(_expand(tets, idx))
         contributing = _contributing_3d(pts, idx, tets, scale)
     return MinVolumeReport(
         min_volume=min_volume,
@@ -653,8 +649,7 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True,
     )
 
 
-def min_area_triangles(ps: PointSet, witnesses: bool = True,
-                       max_witnesses: int | None = None) -> MinAreaReport:
+def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
     """Report all triangles of minimum nonzero area of a 2D point set.
 
     Coincident points are merged, and each point a scans the vectors to the
@@ -682,10 +677,7 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True,
     wit_list = None
     contributing = None
     if witnesses:
-        full = _expand(tris, idx)
-        if max_witnesses is not None:
-            full = full[:max_witnesses]
-        wit_list = tuple(full)
+        wit_list = tuple(_expand(tris, idx))
         contributing = _contributing_2d(xy, idx, tris, scale)
     return MinAreaReport(
         min_area=min_area,

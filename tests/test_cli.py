@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 import simplexvol.bruteforce as bruteforce
 import simplexvol.charging as charging
 from simplexvol import ChargeRecord, gen_random_rational, parse_point_file
@@ -92,6 +94,24 @@ def test_minvol_wrong_dimension_exits_2(tmp_path, capsys):
 def test_minvol_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, "minvol", "/nonexistent/points.txt")
     assert code == 2
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("minvol", []), ("minarea", []), ("distinct", []), ("count", ["--volume", "1"]),
+])
+def test_directory_input_exits_2(tmp_path, capsys, command, extra):
+    assert_one_error_line(*run(capsys, command, str(tmp_path), *extra))
+
+
+def test_gen_out_directory_exits_2(tmp_path, capsys):
+    assert_one_error_line(*run(capsys, "gen", "--family", "prism3d", "--n", "8",
+                               "--out", str(tmp_path)))
 
 
 def test_minvol_oracle_mismatch_exits_4(tmp_path, capsys, monkeypatch):
@@ -196,6 +216,14 @@ def test_bench_reports_slope(capsys):
     doc = report_of(out)
     assert doc["results"]["counts"] == [48, 576]
     assert isinstance(doc["results"]["loglog_slope"], float)
+
+
+def test_bench_repeated_size_has_no_slope(capsys):
+    code, out, _ = run(capsys, "bench", "--family", "random3d", "--sizes", "20,20")
+    assert code == 0
+    doc = report_of(out)
+    assert doc["results"]["sizes"] == [20, 20]
+    assert doc["results"]["loglog_slope"] is None
 
 
 def test_bench_random2d(capsys):

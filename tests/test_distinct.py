@@ -3,6 +3,7 @@ search and the projection volume identity."""
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -17,8 +18,10 @@ from simplexvol import (
     distinct_areas_from_point,
     distinct_volumes,
     gen_distinct_volume_lines,
+    hyperplane_key,
     project_orthogonal,
     signed_volume,
+    squared_volume,
 )
 from helpers import random_spanning
 
@@ -45,7 +48,6 @@ class TestProjection:
         cross = (t2[0] - t1[0]) * (t3[1] - t1[1]) - (t2[1] - t1[1]) * (t3[0] - t1[0])
         area_sq = F(cross * cross, 4) * proj.area_sq_scale
         # independent computation: project exactly and use the 3D Gram form
-        from simplexvol import squared_volume
         dd = 3
         rows = []
         for p in ps.points[:3]:
@@ -106,6 +108,56 @@ class TestDistinctAreas:
         assert other.best_partner == base.best_partner
 
 
+def planar_common_face(ps):
+    """The constructive common-face search spelled out on the public API:
+    rank the (d-1)-tuples by the hyperplanes they span, project along the
+    best tuple's flat and run the planar distinct-area search at its image.
+    Returns (face, volumes), or None when no tuple spans two hyperplanes."""
+    d, n = ps.dim, len(ps)
+    best_tuple, best_planes = None, {}
+    for tup in combinations(range(n), d - 1):
+        planes = {}
+        for q in range(n):
+            if q not in tup and squared_volume(ps, tup + (q,)) != 0:
+                planes.setdefault(hyperplane_key(ps, tup + (q,)), q)
+        if len(planes) > len(best_planes):
+            best_tuple, best_planes = tup, planes
+    if len(best_planes) < 2:
+        return None
+    reps = sorted(best_planes.values())
+    base = ps.points[best_tuple[0]]
+    proj = project_orthogonal(
+        ps, [[c - b for c, b in zip(ps.points[i], base)] for i in best_tuple[1:]])
+    image = PointSet([proj.points.points[i] for i in reps + [best_tuple[0]]],
+                     dim=2, allow_duplicates=True)
+    partner = reps[distinct_areas_from_point(image, len(reps)).best_partner]
+    face = tuple(sorted(best_tuple + (partner,)))
+    volumes = {abs(signed_volume(ps, face + (q,))) for q in range(n) if q not in face}
+    return face, sorted(volumes - {0})
+
+
+def common_face_sets():
+    """Seeded d = 2, 3, 4 sets: small lattice subsets (many ties), mixed
+    denominators with duplicates, parallel lines and sets on a hyperplane."""
+    rng = random.Random(2024)
+    for i in range(60):
+        d = 2 + i % 3
+        n = rng.randint(d + 2, 7 if d == 4 else 10)
+        kind = "lattice mixed lattice lines flat".split()[i // 3 % 5]
+        if kind == "lattice":
+            rows = [[rng.randint(0, 2) for _ in range(d)] for _ in range(n)]
+        elif kind == "mixed":
+            rows = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d)]
+                    for _ in range(n)]
+            rows += rng.sample(rows, 2)
+        elif kind == "lines":
+            rows = gen_distinct_volume_lines(n, d).points.points
+        else:
+            rows = [[rng.randint(-5, 5) for _ in range(d - 1)] for _ in range(n)]
+            rows = [r + [sum(r) - 3] for r in rows]
+        yield PointSet(rows, dim=d, allow_duplicates=True)
+
+
 class TestCommonFace:
     def test_dlines_73(self):
         out = gen_distinct_volume_lines(7, 3)
@@ -129,6 +181,22 @@ class TestCommonFace:
             ex = best_common_face(ps, mode="exhaustive")
             he = best_common_face(ps, mode="heuristic")
             assert ex.distinct_count >= he.distinct_count
+
+    def test_heuristic_matches_planar_search(self):
+        # the integer search picks the face the projection and the planar
+        # distinct-area search pick, with the same count and volumes
+        differs_from_exhaustive = 0
+        for ps in common_face_sets():
+            expected = planar_common_face(ps)
+            if expected is None:
+                with pytest.raises(AllDegenerate):
+                    best_common_face(ps, mode="heuristic")
+                continue
+            result = best_common_face(ps, mode="heuristic")
+            assert (result.face, list(result.volumes)) == expected
+            assert result.distinct_count == len(expected[1])
+            differs_from_exhaustive += result.face != best_common_face(ps).face
+        assert differs_from_exhaustive >= 5
 
     def test_single_simplex(self):
         ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])

@@ -300,12 +300,6 @@ class TestMinVolumeTetrahedra:
         assert lean.min_volume == full.min_volume
         assert lean.count == full.count == 216
 
-    def test_witness_cap(self):
-        out = gen_min_tetra_prism(8)
-        report = min_volume_tetrahedra(out.points, max_witnesses=7)
-        assert len(report.witnesses) == 7
-        assert report.count == 48
-
     def test_contributing_records_consistent(self):
         ps = random_spanning(9, 3, seed=4)
         report = min_volume_tetrahedra(ps)
