@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -266,11 +267,30 @@ def cmd_bench(args) -> int:
         "counts": counts,
         "loglog_slope": slope,
     }
-    _emit(_document("bench", None, {
+    doc = _document("bench", None, {
         "family": args.family,
         "repeat": args.repeat,
-    }, results, sum(seconds)))
+    }, results, sum(seconds))
+    doc["environment"] = {
+        "python": "{}.{}.{}".format(*sys.version_info),
+        "cpu_count": os.cpu_count(),
+        "git_revision": _git_revision(),
+    }
+    _emit(doc)
     return 0
+
+
+def _git_revision() -> str | None:
+    """The commit checked out where this package lives, or None outside a
+    git checkout (or without git)."""
+    import subprocess  # here, as only bench starts a process: saves start-up time
+
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=os.path.dirname(__file__),
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def _loglog_slope(sizes, seconds) -> float:

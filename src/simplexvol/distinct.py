@@ -20,7 +20,6 @@ from .exact import (
     PointSet,
     face_normal,
     integer_coordinates,
-    integer_hyperplane_key,
     primitive_vector,
     squared_volume,
 )
@@ -250,7 +249,9 @@ def best_common_face(ps: PointSet, mode: str = "exhaustive") -> CommonFaceResult
                     continue
                 normal, offset = face_normal([coords[i] for i in tup + (q,)])
                 if any(normal):
-                    planes.setdefault(integer_hyperplane_key(normal, offset), q)
+                    # (normal, offset) reduced by its gcd and leading sign
+                    # names the hyperplane
+                    planes.setdefault(primitive_vector(normal + (offset,)), q)
             if len(planes) > len(best_planes):
                 best_tuple, best_planes = tup, planes
         if len(best_planes) < 2:

@@ -14,7 +14,8 @@ narrows.
   its points are projected onto a coordinate plane.
 * In 3D every tetrahedron is found once, at its two smallest sites a < b.
   Projected along b - a, the volume is |b - a| times the area of the
-  projected triangle over three, so W is the projection of c - a.
+  projected triangle over three, so W is the projection of c - a.  The
+  spanned planes are counted from the same pass over the later sites.
 
 The faces and apexes of the tied simplices then give each contributing line
 or plane and its nearest points on one side (its empty slab).  A
@@ -25,7 +26,8 @@ minimum-area triangle once per side and divides by three.  Candidate measures
 are compared exactly as integer cross-products; reported values are exact
 rationals.
 
-On random points the scans grew as about n^2.05 (2D) and n^3.0 (3D); when
+On random points the scans grew as about n^2.05 (2D, n = 200..800) and n^3.0
+(3D, n = 40..160: 0.035 to 2.0 s on a shared 2-vCPU host, Python 3.11); when
 the running minimum does not narrow the windows they take O(n^3) and O(n^4).
 The guaranteed O(n^2) minimum-area triangle through the dual line
 arrangement (Edelsbrunner, O'Rourke and Seidel, SIAM J. Comput. 1986) is not
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import itemgetter
 from typing import Iterable
 
@@ -154,23 +156,24 @@ class MinAreaReport:
 
 def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
     """Least positive |det(u, c - a, d - a)|, at most best, over the sites
-    c, d of view from start on, returned as (least, count, ties, classes).
-    view holds the sites as integer (i, j, k) triples and u is an integer
-    (i, j, k) vector with u_k != 0.  count sums the products of the site
-    weights over the pairs attaining least, and ties, with collect, lists
-    their (sites c, sites d); both are empty when no pair reaches best.
+    c, d of view from start on, returned as
+    (least, count, ties, n_classes, multi, axis).  view holds the sites as
+    integer (i, j, k) triples and u is an integer (i, j, k) vector with
+    u_k != 0.  count sums the products of the site weights over the pairs
+    attaining least, and ties, with collect, lists their (sites c, sites d);
+    both are empty when no pair reaches best.
 
     Along u every site c projects to the integer vector
     W = u_k (c - a) - (c - a)_k u with coordinate k dropped, and
     |det(u, c - a, d - a)| = |W_c x W_d| / |u_k|.  Sites with parallel W lie
-    on one plane through the line of u at a.  classes maps the exact angle
-    key of each such direction, floor(wy * scale_k / wx) or vertical for
-    wx == 0, to [r, wx, wy, weight, sites, members]: r = |W|^2 of its shortest
-    vectors, one of them, the summed weight and the sites at that length,
-    and the number of sites in the direction.  Sites with W == 0 are in none.
-    The keys are exact when scale_k exceeds the square of every entry of W,
-    as distinct slopes then differ by more than 1 / scale_k, and vertical
-    must be below every other key.
+    on one plane through the line of u at a, and are the members of one of
+    n_classes angle classes; multi maps the key of each class with two or
+    more members to its member sites, and axis lists the sites with W == 0,
+    which are in no class.  The key of a direction is
+    floor(wy * scale_k / wx), or vertical for wx == 0.  The keys are exact
+    when scale_k exceeds the square of every entry of W, as distinct slopes
+    then differ by more than 1 / scale_k, and vertical must be below every
+    other key.
 
     Only the shortest W of a class can be in a minimal pair.  The classes, in
     angle order, are paired shortest first with their neighbours up to a
@@ -183,7 +186,11 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
     ai, aj, ak = view[a]
     e0, e1 = ui * ak - uk * ai, uj * ak - uk * aj
     size = abs(uk)
+    # each class is [r, wx, wy, weight, sites]: r = |W|^2 of its shortest
+    # vectors, one of them, and the summed weight and the sites at that length
     classes: dict[int, list] = {}
+    multi: dict[int, list[int]] = {}
+    axis = []
     for c in range(start, len(view)):
         ci, cj, ck = view[c]
         wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
@@ -192,36 +199,42 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
         elif wy:
             key = vertical
         else:
+            axis.append(c)
             continue
         r = wx * wx + wy * wy
         cls = classes.get(key)
-        if cls is None or r < cls[0]:
-            # stored in the half-plane wx > 0 or wx == 0 > wy, whose angle
-            # order is the key order
-            if wx < 0 or (wx == 0 and wy > 0):
-                wx, wy = -wx, -wy
-            classes[key] = [r, wx, wy, weight[c], [c], 1 if cls is None else cls[5] + 1]
-        else:
-            cls[5] += 1
-            if r == cls[0]:
-                cls[3] += weight[c]
-                cls[4].append(c)
+        if cls is not None:
+            members = multi.get(key)
+            if members is None:
+                multi[key] = [cls[4][0], c]  # a lone member is its own shortest
+            else:
+                members.append(c)
+            if r >= cls[0]:
+                if r == cls[0]:
+                    cls[3] += weight[c]
+                    cls[4].append(c)
+                continue
+        # stored in the half-plane wx > 0 or wx == 0 > wy, whose angle order
+        # is the key order
+        if wx < 0 or (wx == 0 and wy > 0):
+            wx, wy = -wx, -wy
+        classes[key] = [r, wx, wy, weight[c], [c]]
     count = 0
     ties = []
     n_cls = len(classes)
     if n_cls < 2:
-        return best, count, ties, classes
+        return best, count, ties, n_cls, multi, axis
     # the classes in angle order, linked in a cycle
     recs = [classes[key] for key in sorted(classes)]
     nxt = list(range(1, n_cls)) + [0]
     prv = [n_cls - 1] + list(range(n_cls - 1))
     bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
     for x in sorted(range(n_cls), key=[rec[0] for rec in recs].__getitem__):
-        rx, x0, x1, nx, sx, _ = recs[x]
+        rx, x0, x1, nx, sx = recs[x]
         for link, ahead in ((nxt, True), (prv, False)):
             z = link[x]
             while z != x:
-                rz, z0, z1, nz, sz, _ = recs[z]
+                rz, z0, z1, nz, sz = recs[z]
                 dot = x0 * z0 + x1 * z1
                 if (z > x) != ahead:
                     dot = -dot  # z wrapped past the end of the angle order
@@ -241,7 +254,20 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
                 z = link[z]
         nxt[prv[x]] = nxt[x]
         prv[nxt[x]] = prv[x]
-    return best, count, ties, classes
+    return best, count, ties, n_cls, multi, axis
+
+
+def _collinear(pts, sites):
+    """Whether the points pts[s] over sites, at least two and distinct, lie on
+    one line."""
+    (x0, y0, z0), (x1, y1, z1) = pts[sites[0]], pts[sites[1]]
+    dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+    for s in sites[2:]:
+        x, y, z = pts[s]
+        x, y, z = x - x0, y - y0, z - z0
+        if dy * z != dz * y or dz * x != dx * z or dx * y != dy * x:
+            return False
+    return True
 
 
 def _edge_scan_3d(pts, weight, collect):
@@ -253,8 +279,23 @@ def _edge_scan_3d(pts, weight, collect):
 
     Each 4-subset of sites is found once, at its two smallest sites a < b,
     by _window_pairs along u = b - a over the later sites: its classes are
-    the planes through ab, and the shortest W of a class are the sites of
+    the planes P through ab, and the shortest W of a class are the sites of
     that plane nearest to line ab.  Memory is O(n) per pair, plus the ties.
+
+    The planes are counted from the same pass.  With Z the later sites on
+    line ab and M_P the members of class P,
+
+        n_planes = sum over a < b and P of [Z empty and a, M_P collinear]
+                   - [|M_P + Z| >= 2 and M_P + Z on one line that misses b].
+
+    Take a plane with sites s_0 < ... < s_(k-1) and let t be the largest
+    index with s_t ... s_(k-1) not collinear.  At a = s_i the first term
+    fires at the b = s_j with s_i, s_(j+1) ... s_(k-1) on one line that
+    misses s_j: at exactly one j if s_i ... s_(k-1) are not collinear
+    (i <= t), else at none.  The second term fires at b = s_t alone, so for
+    each i < t.  The plane adds (t + 1) - t = 1.  A one-member class adds
+    [|Z| = 0] - [|Z| = 1], and with |Z| >= 2 no term fires, so only classes
+    with two or more members need their sites.
     """
     m = len(pts)
     span = max(max(p[c] for p in pts) - min(p[c] for p in pts) for c in range(3))
@@ -270,35 +311,22 @@ def _edge_scan_3d(pts, weight, collect):
             dx, dy, dz = abs(dx - x), abs(dy - y), abs(dz - z)
             # k is the first coordinate with the largest |u_k|
             view = views[0 if dx >= dy and dx >= dz else 1 if dy >= dz else 2]
-            ai, aj, ak = view[a]
-            bi, bj, bk = view[b]
-            ui, uj, uk = bi - ai, bj - aj, bk - ak
-            e0, e1 = ui * ak - uk * ai, uj * ak - uk * aj
-            size = abs(uk)
+            (ai, aj, ak), (bi, bj, bk) = view[a], view[b]
+            u = bi - ai, bj - aj, bk - ak
             # W's entries are at most mag in size, as |u_k| is u's largest
             # and no coordinate spans more than span
-            mag = 2 * size * span
+            mag = 2 * abs(u[2]) * span
             scale_k = mag * mag + 1
             vertical = -mag * scale_k - 1
-            # a plane through ab holding a site below b is counted at a
-            # smaller pair; every plane is, when a site below b is on ab
-            below = set()
-            for c in range(b):
-                if c == a:
-                    continue
-                ci, cj, ck = view[c]
-                wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
-                if wx:
-                    below.add(wy * scale_k // wx)
-                elif wy:
-                    below.add(vertical)
-                else:
-                    below = None
-                    break
-            least, pairs, tied, classes = _window_pairs(
-                view, a, (ui, uj, uk), b + 1, weight, scale_k, vertical, best, collect)
-            if below is not None:
-                n_planes += len(classes.keys() - below)
+            least, pairs, tied, n_cls, multi, axis = _window_pairs(
+                view, a, u, b + 1, weight, scale_k, vertical, best, collect)
+            if len(axis) < 2:
+                n_planes += (n_cls - len(multi)) * (-1 if axis else 1)
+                for members in multi.values():
+                    line = axis + members
+                    n_planes += ((not axis and _collinear(pts, [a] + members))
+                                 - (_collinear(pts, line)
+                                    and not _collinear(pts, line[:2] + [b])))
             if least < best:
                 best, count, ties = least, 0, []
             count += weight[a] * weight[b] * pairs
@@ -329,9 +357,9 @@ def _triangle_scan(xy, weight, collect):
     ties = []
     view = [(x, y, 0) for x, y in xy]
     for a in range(len(xy)):
-        least, pairs, tied, classes = _window_pairs(
+        least, pairs, tied, n_cls, multi, _ = _window_pairs(
             view, a, (0, 0, 1), a + 1, weight, scale_k, vertical, best, collect)
-        n_lines += sum(cls[5] == 1 for cls in classes.values())
+        n_lines += n_cls - len(multi)
         if least < best:
             best, count, ties = least, 0, []
         count += weight[a] * pairs
@@ -390,15 +418,21 @@ def _contributing_3d(pts, idx, tets, scale):
         if summary is None:
             g0, g1, g2 = g
             on = [s for s, (x, y, z) in enumerate(pts) if g0 * x + g1 * y + g2 * z == t]
-            # a line is its primitive direction, which leads positive as the
-            # sites are sorted, and the moment d x p of its points
-            lines = set()
-            for s1, s2 in combinations(on, 2):
-                x, y, z = pts[s1]
-                dx, dy, dz = pts[s2][0] - x, pts[s2][1] - y, pts[s2][2] - z
-                c = math.gcd(dx, dy, dz)
-                dx, dy, dz = dx // c, dy // c, dz // c
-                lines.add((dx, dy, dz, dy * z - dz * y, dz * x - dx * z, dx * y - dy * x))
+            # a line through k sites has exactly one site with one later site
+            # on it, so n_lines counts the directions that exactly one later
+            # site takes from each site: one from the second-to-last site,
+            # none from the last.  They lead positive as the sites are sorted.
+            xyz = [pts[s] for s in on]
+            n_lines = 1
+            for i in range(len(xyz) - 2):
+                x, y, z = xyz[i]
+                once, more = set(), set()
+                for x2, y2, z2 in xyz[i + 1:]:
+                    dx, dy, dz = x2 - x, y2 - y, z2 - z
+                    c = math.gcd(dx, dy, dz)
+                    d = dx // c, dy // c, dz // c
+                    (more if d in once else once).add(d)
+                n_lines += len(once) - len(more)
             incident = tuple(sorted(i for s in on for i in idx[s]))
             tri = _expand(faces, idx)
             normal = face_normal([pts[s] for s in next(iter(faces))])[0]
@@ -406,7 +440,7 @@ def _contributing_3d(pts, idx, tets, scale):
                 key=integer_hyperplane_key(g, t, scale),
                 incident=incident,
                 n_points=len(incident),
-                n_lines=len(lines),
+                n_lines=n_lines,
                 min_area_sq=Fraction(sum(c * c for c in normal), 4 * scale ** 4),
                 count=len(tri),
                 witnesses=tuple(tri),
@@ -615,7 +649,7 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
     points of each plane through ab are paired in angular windows that the
     running minimum bounds.  Every tetrahedron is found once, at its two
     smallest points.  On random points the time grew as about n^3.0
-    (n = 40..160, 0.04 to 2.4 s); the worst case, windows that the minimum
+    (n = 40..160, 0.035 to 2.0 s); the worst case, windows that the minimum
     does not narrow, is O(n^4).  With witnesses=False only the exact
     minimum, the exact count and the number of spanned planes are computed,
     in O(n) memory per pair; otherwise the witness tetrahedra and the

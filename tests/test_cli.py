@@ -1,6 +1,9 @@
 """CLI surface: subcommands, JSON reports, exit codes, determinism."""
 
 import json
+import os
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -216,6 +219,16 @@ def test_bench_reports_slope(capsys):
     doc = report_of(out)
     assert doc["results"]["counts"] == [48, 576]
     assert isinstance(doc["results"]["loglog_slope"], float)
+
+
+def test_bench_records_environment(capsys):
+    code, out, _ = run(capsys, "bench", "--family", "random3d", "--sizes", "8")
+    assert code == 0
+    env = report_of(out)["environment"]
+    assert env["python"] == "{}.{}.{}".format(*sys.version_info)
+    assert env["cpu_count"] == os.cpu_count()
+    # a commit hash inside a git checkout, null outside one
+    assert env["git_revision"] is None or re.fullmatch("[0-9a-f]{40}", env["git_revision"])
 
 
 def test_bench_repeated_size_has_no_slope(capsys):

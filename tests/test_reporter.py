@@ -28,6 +28,8 @@ from simplexvol import (
     spanned_planes,
     squared_distance_point_plane,
 )
+from simplexvol.exact import integer_coordinates
+from simplexvol.reporter import _edge_scan_3d
 from helpers import random_spanning
 
 LINE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]
@@ -367,6 +369,42 @@ class TestMinVolumeTetrahedra:
         assert report.count == oracle.count
         assert report.witnesses == tuple(sorted(oracle.witnesses))
         assert report.n_planes == n_planes
+
+    def test_coplanar_set_spans_one_plane(self):
+        ps = PointSet([(x, y, x + 2 * y) for x in range(3) for y in range(3)])
+        with pytest.raises(AllDegenerate, match="coplanar"):
+            min_volume_tetrahedra(ps)
+        # the report is refused, so the scan's own count is read
+        coords, _ = integer_coordinates(ps)
+        pts = sorted(set(coords))
+        assert _edge_scan_3d(pts, [1] * len(pts), False)[2] == 1 == len(spanned_planes(ps))
+
+    @pytest.mark.parametrize("ps", [
+        # four sites on the x axis: at a, b = (0, 0, 0), (2, 0, 0) the site
+        # (1, 0, 0) is on ab below b, and at a, b = (0, 0, 0), (1, 0, 0) two
+        # later sites are on ab
+        PointSet([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                  (3, 2, 5)]),
+        # lines through the first site: at b = (0, 0, 1) each plane holds
+        # two later sites on one line with a
+        PointSet([(0, 0, 0), (0, 0, 1), (1, 0, 0), (2, 0, 0), (1, 1, 0), (2, 2, 0),
+                  (1, 2, 0), (2, 4, 0), (3, 1, 5)]),
+        # as above, but at b = (1, 0, 0) a later site, (2, 0, 0), is on ab
+        PointSet([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 2, 0), (3, 1, 2)]),
+        # at a, b = (0, 0, 0), (0, 1, 0) the later sites of z == 0 lie on
+        # x == 1, which misses b
+        PointSet([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0), (3, 1, 2)]),
+        # at a, b = (0, 0, 0), (1, 0, 0) the one later site on ab, (2, 0, 0),
+        # and the later sites of z == 0 lie on x == 2
+        PointSet([(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 1, 2)]),
+        gen_min_tetra_prism(16).points,
+        # general position: every class has one member
+        *(gen_random_rational(20, 3, seed, bound=1000) for seed in range(3)),
+    ], ids=["sites-on-ab", "lines-through-a", "lines-through-a-and-axis", "line-misses-b",
+            "line-through-axis-site", "prism16", "random0", "random1", "random2"])
+    def test_n_planes_counts_spanned_planes(self, ps):
+        report = min_volume_tetrahedra(ps, witnesses=False)
+        assert report.n_planes == len(spanned_planes(ps))
 
     def test_working_memory_grows_linearly(self):
         # The scan keeps O(n) per pair of points; a set of all plane normals
