@@ -9,7 +9,8 @@ verify_charging measures the observed maxima.
 Charging runs on the denominator-cleared integer coordinates of the set
 (exact.integer_coordinates): edge lengths, face areas and sides are integer
 dot and cross products, and only the three measures of a ChargeRecord are
-divided back into Fractions.
+divided back into Fractions.  verify_charging tallies the faces and sides
+straight from the integer kernel and builds no record.
 """
 
 from __future__ import annotations
@@ -63,14 +64,18 @@ _FACES = tuple((f, tuple(_EDGES.index(e) for e in combinations(f, 2)))
                for f in combinations(range(4), 3))
 
 
-def _charge(ps: PointSet, coords, scale: int, tetra: Iterable[int]) -> ChargeRecord:
-    """charge_tetrahedron on the cleared coordinates coords = scale * points.
+def _charge(ps: PointSet, coords, tetra: Iterable[int]) -> tuple:
+    """The charge of a tetrahedron of ps in the cleared coordinates coords,
+    as (tet, face, side, diameter, x0, area, det): the sorted indices, the
+    charged face and the side of its plane holding the fourth vertex, the
+    diameter, and the integers x0 = |diameter|^2, area = |cross|^2 of the
+    face's two edges and det = normal . (apex - face[0]) in those
+    coordinates.
 
     The six edge vectors and squared lengths are taken once; each face that
-    holds a diameter gets |cross|^2 of two of its edges, the first strictly
-    largest wins, and |cross|^2 / x0^2 is its squared height over the
-    diameter.  The side is the sign of normal . (apex - face[0]) with the
-    normal in its canonical key orientation (exact.leading_sign).
+    holds a diameter gets |cross|^2 of two of its edges, and the first
+    strictly largest wins.  The side is the sign of det with the normal in
+    its canonical key orientation (exact.leading_sign).
     """
     tet = as_simplex(tetra, len(ps))
     if len(tet) != 4 or ps.dim != 3:
@@ -92,17 +97,13 @@ def _charge(ps: PointSet, coords, scale: int, tetra: Iterable[int]) -> ChargeRec
     det = normal[0] * (q[0] - p[0]) + normal[1] * (q[1] - p[1]) + normal[2] * (q[2] - p[2])
     if det == 0:
         raise DegenerateInput(f"tetrahedron {tet} is degenerate")
-    i, j = _EDGES[next(e for e in face_edges if lengths[e] == max_len)]
-    s2 = scale * scale
-    return ChargeRecord(
-        tetra=tet,
-        face=(tet[face[0]], tet[face[1]], tet[face[2]]),
-        side="above" if det * leading_sign(normal) > 0 else "below",
-        diameter=(tet[i], tet[j]),
-        x0_sq=Fraction(max_len, s2),
-        y0_sq=Fraction(area, max_len * s2),
-        z0_sq=Fraction(det * det, area * s2),
-    )
+    for e in face_edges:
+        if lengths[e] == max_len:
+            break
+    i, j = _EDGES[e]
+    return (tet, (tet[face[0]], tet[face[1]], tet[face[2]]),
+            "above" if det * leading_sign(normal) > 0 else "below",
+            (tet[i], tet[j]), max_len, area, det)
 
 
 def charge_tetrahedron(ps: PointSet, tetra: Iterable[int]) -> ChargeRecord:
@@ -112,7 +113,18 @@ def charge_tetrahedron(ps: PointSet, tetra: Iterable[int]) -> ChargeRecord:
     lexicographically smallest index tuple, so the assignment is
     deterministic.
     """
-    return _charge(ps, *integer_coordinates(ps), tetra)
+    coords, scale = integer_coordinates(ps)
+    tet, face, side, diameter, x0, area, det = _charge(ps, coords, tetra)
+    s2 = scale * scale
+    return ChargeRecord(
+        tetra=tet,
+        face=face,
+        side=side,
+        diameter=diameter,
+        x0_sq=Fraction(x0, s2),
+        y0_sq=Fraction(area, x0 * s2),
+        z0_sq=Fraction(det * det, area * s2),
+    )
 
 
 def verify_charging(ps: PointSet,
@@ -126,13 +138,13 @@ def verify_charging(ps: PointSet,
     """
     if witnesses is None:
         witnesses = min_volume_simplices(ps, 3).witnesses
-    coords, scale = integer_coordinates(ps)
+    coords, _ = integer_coordinates(ps)
     per_face: dict[tuple[int, int, int], int] = {}
     per_side: dict[tuple[tuple[int, int, int], str], int] = {}
     for tet in witnesses:
-        record = _charge(ps, coords, scale, tet)
-        per_face[record.face] = per_face.get(record.face, 0) + 1
-        key = (record.face, record.side)
+        charge = _charge(ps, coords, tet)
+        face, key = charge[1], charge[1:3]  # the face, and (face, side)
+        per_face[face] = per_face.get(face, 0) + 1
         per_side[key] = per_side.get(key, 0) + 1
     check = ChargingCheck(
         max_per_face=max(per_face.values(), default=0),

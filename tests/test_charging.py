@@ -4,6 +4,7 @@ per-face / per-side bounds over minimum-volume witnesses."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -127,3 +128,30 @@ def test_integer_charging_matches_fraction_kernel():
                 "face", "diameter", "x0_sq", "y0_sq", "z0_sq", "side")} == _reference_record(ps, tet)
             checked += 1
     assert checked > 1000
+
+
+def test_verify_charging_tallies_the_charged_faces_and_sides():
+    for ps in _charging_inputs():
+        witnesses = min_volume_simplices(ps, 3).witnesses
+        per_face, per_side = Counter(), Counter()
+        for tet in witnesses:
+            record = charge_tetrahedron(ps, tet)
+            per_face[record.face] += 1
+            per_side[record.face, record.side] += 1
+        check = verify_charging(ps, witnesses)
+        assert check.max_per_face == max(per_face.values())
+        assert check.max_per_face_side == max(per_side.values())
+        assert check.n_witnesses == len(witnesses)
+
+
+def test_verify_charging_validates_every_witness():
+    ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)])
+    good = (0, 1, 2, 3)
+    with pytest.raises(DegenerateInput, match="degenerate"):
+        verify_charging(ps, [good, (0, 1, 2, 4)])  # 0, 1, 4 on one line
+    with pytest.raises(ValueError, match="out of range"):
+        verify_charging(ps, [good, (0, 1, 2, 5)])
+    with pytest.raises(ValueError, match="distinct"):
+        verify_charging(ps, [good, (0, 1, 2, 2)])
+    with pytest.raises(DegenerateInput, match="tetrahedron"):
+        verify_charging(ps, [good, (0, 1, 2)])

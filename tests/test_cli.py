@@ -3,16 +3,19 @@
 import json
 import os
 import re
+import shutil
+import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import simplexvol
 import simplexvol.bruteforce as bruteforce
 import simplexvol.charging as charging
-from simplexvol import ChargeRecord, gen_random_rational, parse_point_file
+from simplexvol import gen_lattice_slab3d, gen_random_rational, parse_point_file
 from simplexvol.bruteforce import MinSimplexResult
-from simplexvol.cli import main
+from simplexvol.cli import _build_parser, _git_revision, main
 
 
 def run(capsys, *argv):
@@ -79,6 +82,8 @@ def test_minvol_prism(tmp_path, capsys):
     assert doc["results"]["charging"]["max_per_face"] <= 4
     assert doc["results"]["charging"]["max_per_face_side"] <= 2
     assert doc["input_digest"]
+    # one compact line with sorted keys
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_minvol_coplanar_exits_3(tmp_path, capsys):
@@ -136,9 +141,8 @@ def test_minvol_charging_bound_exceeded_exits_4(tmp_path, capsys, monkeypatch):
     path = write_points(tmp_path, "cube.txt", "dim 3\n" + "".join(
         f"{x} {y} {z}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1)))
 
-    def one_face(ps, coords, scale, tetra):
-        return ChargeRecord(tetra=tuple(tetra), face=(0, 1, 2), side="above",
-                            diameter=(0, 1), x0_sq=F(1), y0_sq=F(1), z0_sq=F(1))
+    def one_face(ps, coords, tetra):
+        return tuple(tetra), (0, 1, 2), "above", (0, 1), 1, 1, 1
 
     monkeypatch.setattr(charging, "_charge", one_face)
     code, out, err = run(capsys, "minvol", path, "--check-charging")
@@ -167,7 +171,7 @@ def test_minarea(tmp_path, capsys):
     assert doc["results"]["min_area"] == "1/2"
     assert doc["results"]["count"] == 4
     assert doc["results"]["oracle"]["match"] is True
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert "threads" not in doc["parameters"]
 
 
@@ -228,7 +232,8 @@ def test_bench_records_environment(capsys):
     assert env["python"] == "{}.{}.{}".format(*sys.version_info)
     assert env["cpu_count"] == os.cpu_count()
     # a commit hash inside a git checkout, null outside one
-    assert env["git_revision"] is None or re.fullmatch("[0-9a-f]{40}", env["git_revision"])
+    assert env["git_revision"] is None or re.fullmatch("[0-9a-f]{40}(-dirty)?",
+                                                       env["git_revision"])
 
 
 def test_bench_repeated_size_has_no_slope(capsys):
@@ -282,3 +287,72 @@ def test_bench_oracle_refused_above_limit(capsys):
     assert doc["results"]["oracle_seconds"][0] is not None
     assert doc["results"]["oracle_seconds"][1] is None
     assert "refusing" in err
+
+
+def test_bench_lattice_slab3d(capsys):
+    code, out, _ = run(capsys, "bench", "--family", "lattice_slab3d", "--sizes", "8,18",
+                       "--with-oracle")
+    assert code == 0
+    doc = report_of(out)
+    assert doc["results"]["counts"] == [
+        bruteforce.min_volume_simplices(gen_lattice_slab3d(n), 3).count for n in (8, 18)]
+    assert None not in doc["results"]["oracle_seconds"]
+
+
+def test_bench_lattice_slab3d_rejects_bad_size(capsys):
+    code, _, err = run(capsys, "bench", "--family", "lattice_slab3d", "--sizes", "10")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # documents of in-process calls, made in turn on one cached parser, match
+    # those of fresh processes apart from the timing
+    assert _build_parser() is _build_parser()
+    gen_path = tmp_path / "prism.txt"
+    assert main(["gen", "--family", "prism3d", "--n", "8", "--out", str(gen_path)]) == 0
+    flat = write_points(tmp_path, "sq.txt", "dim 2\n0 0\n1 0\n0 1\n1 1\n")
+    calls = [
+        ["minvol", str(gen_path), "--report-witnesses", "--check-charging"],
+        ["minarea", flat, "--oracle"],
+        ["count", str(gen_path), "--volume", "1/192"],
+        ["distinct", str(gen_path)],
+        ["minvol", flat],
+        ["minvol", str(gen_path), "--oracle"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simplexvol.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "simplexvol.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, err) == (fresh.returncode, fresh.stderr)
+        if out or fresh.stdout:
+            doc, other = report_of(out), report_of(fresh.stdout)
+            doc.pop("timing_seconds"), other.pop("timing_seconds")
+            assert doc == other
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_revision_marks_dirty_trees(tmp_path, monkeypatch):
+    # git must not find a repository above tmp_path
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    repo, outside = tmp_path / "repo", tmp_path / "outside"
+    repo.mkdir()
+    outside.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args],
+                       cwd=repo, check=True, capture_output=True, timeout=30)
+
+    (repo / "points.txt").write_text("dim 2\n0 0\n")
+    git("init", "-q")
+    git("add", "points.txt")
+    git("commit", "-q", "-m", "points")
+    git("tag", "-a", "v1", "-m", "a tag does not change the format")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+                          text=True, timeout=30, check=True).stdout.strip()
+    assert _git_revision(str(repo)) == head
+    (repo / "points.txt").write_text("dim 2\n1 1\n")
+    assert _git_revision(str(repo)) == head + "-dirty"
+    assert _git_revision(str(outside)) is None

@@ -15,6 +15,7 @@ from simplexvol import (
     DegenerateInput,
     PointSet,
     empty_slabs,
+    gen_lattice_slab3d,
     gen_min_ksimplex_lines,
     gen_min_tetra_prism,
     gen_random_rational,
@@ -238,6 +239,31 @@ class TestEmptySlabs:
         assert above is None and below is None
 
 
+# mixed prime denominators: the scale is 2*3*5*7, and the plane offsets on
+# the scaled points share factors with it
+PRIME_DENOMINATORS_3D = PointSet([
+    (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5)), (F(1, 7), F(1, 7), 1),
+    (1, F(2, 3), F(2, 5)), (F(3, 2), F(1, 5), F(4, 7)), (2, 1, F(1, 3)), (F(5, 7), F(3, 2), F(3, 5))])
+DUPLICATES_3D = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (2, 3, 4)],
+                         allow_duplicates=True)
+
+
+def check_contributing_3d(ps):
+    """Each contributing (plane, slab) pair equals the plane's own in-plane
+    scan and the matching side of its empty slabs, and the pairs are the
+    (plane, side) of the faces of the oracle's witnesses."""
+    report = min_volume_tetrahedra(ps)
+    for summary, slab in report.contributing:
+        assert summary == min_area_triangles_in_plane(ps, summary.incident)
+        assert slab == dict(zip(("above", "below"), empty_slabs(ps, summary.key)))[slab.side]
+    expected = set()
+    for tet in min_volume_simplices(ps, 3).witnesses:
+        for apex in tet:
+            key = plane_key(ps, [i for i in tet if i != apex])
+            expected.add((key, "above" if key.side_of(ps.points[apex]) > 0 else "below"))
+    assert {(summary.key, slab.side) for summary, slab in report.contributing} == expected
+
+
 class TestMinVolumeTetrahedra:
     def test_four_points(self):
         ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)])
@@ -316,11 +342,7 @@ class TestMinVolumeTetrahedra:
 
     @pytest.mark.parametrize("ps", [
         random_spanning(9, 3, seed=4),
-        # mixed prime denominators: the scale is 2*3*5*7, and the plane
-        # offsets on the scaled points share factors with it
-        PointSet([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5)), (F(1, 7), F(1, 7), 1),
-                  (1, F(2, 3), F(2, 5)), (F(3, 2), F(1, 5), F(4, 7)), (2, 1, F(1, 3)),
-                  (F(5, 7), F(3, 2), F(3, 5))]),
+        PRIME_DENOMINATORS_3D,
         # a small lattice: many tied planes, both sides of most of them
         PointSet(list(itertools.product((0, 1, 2), (0, 1), (0, 1)))),
     ], ids=["random", "prime-denominators", "lattice"])
@@ -346,13 +368,27 @@ class TestMinVolumeTetrahedra:
         assert report.witnesses == oracle.witnesses
 
     def test_duplicates_allowed(self):
-        rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (2, 3, 4)]
-        ps = PointSet(rows, allow_duplicates=True)
+        ps = DUPLICATES_3D
         report = min_volume_tetrahedra(ps)
         oracle = min_volume_simplices(ps, 3)
         assert report.min_volume_sq == oracle.min_squared_volume
         assert report.count == oracle.count
         assert report.witnesses == oracle.witnesses
+
+    @pytest.mark.parametrize("ps", [DUPLICATES_3D, PRIME_DENOMINATORS_3D,
+                                    gen_lattice_slab3d(18), gen_min_tetra_prism(16).points],
+                             ids=["duplicates", "prime-denominators", "lattice-slab18", "prism16"])
+    def test_contributing_matches_per_plane_scans(self, ps):
+        check_contributing_3d(ps)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tie_heavy_3d())
+    def test_contributing_matches_per_plane_scans_on_tie_heavy_sets(self, ps):
+        try:
+            min_volume_simplices(ps, 3)
+        except AllDegenerate:
+            return
+        check_contributing_3d(ps)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(tie_heavy_3d())
