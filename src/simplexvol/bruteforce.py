@@ -78,13 +78,9 @@ def _int_squared_volume_numerator(coords, idx):
     return _det(gram)
 
 
-def min_volume_simplices(ps: PointSet, k: int,
-                         max_witnesses: int | None = None) -> MinSimplexResult:
+def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     """Exhaustively find the minimum positive squared k-volume and all
-    simplices attaining it.
-
-    The witness list can be capped with max_witnesses (memory guard); the
-    count is exact regardless.  Raises AllDegenerate when no (k+1)-subset has
+    simplices attaining it.  Raises AllDegenerate when no (k+1)-subset has
     positive volume.
     """
     d = ps.dim
@@ -115,12 +111,9 @@ def min_volume_simplices(ps: PointSet, k: int,
                 witnesses = [face + (l,)]
             elif num == best:
                 count += 1
-                if max_witnesses is None or len(witnesses) < max_witnesses:
-                    witnesses.append(face + (l,))
+                witnesses.append(face + (l,))
     if best is None:
         raise AllDegenerate(f"every {k + 1}-subset of the input is degenerate")
-    if max_witnesses is not None:
-        witnesses = witnesses[:max_witnesses]
     denom = (math.factorial(k) * scale ** k) ** 2
     return MinSimplexResult(
         min_squared_volume=Fraction(best, denom),
@@ -130,8 +123,7 @@ def min_volume_simplices(ps: PointSet, k: int,
 
 
 def count_simplices_with_volume(ps: PointSet, target: Fraction, k: int,
-                                keep_witnesses: bool = False,
-                                max_witnesses: int | None = None) -> CountReport:
+                                keep_witnesses: bool = False) -> CountReport:
     """Count k-simplices attaining a target measure exactly.
 
     For k = d the target is the exact (unsigned) volume; for k < d it is the
@@ -164,7 +156,7 @@ def count_simplices_with_volume(ps: PointSet, target: Fraction, k: int,
                 val = _int_squared_volume_numerator(coords, face + (l,))
             if val * want_den == want_num:
                 count += 1
-                if keep_witnesses and (max_witnesses is None or len(witnesses) < max_witnesses):
+                if keep_witnesses:
                     witnesses.append(face + (l,))
     return CountReport(target=target, k=k, count=count,
                        witnesses=tuple(witnesses) if keep_witnesses else None)

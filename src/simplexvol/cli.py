@@ -286,18 +286,24 @@ def cmd_bench(args) -> int:
 
 def _git_revision(where: str = os.path.dirname(__file__)) -> str | None:
     """The full hash of the commit checked out at where (by default, where
-    this package lives), suffixed -dirty when tracked files have uncommitted
-    edits, or None outside a git checkout (or without git).  Tags are
-    excluded, so a tagged commit still reads as its hash."""
+    this package lives), suffixed -dirty when the tree has uncommitted edits
+    or untracked files that .gitignore does not cover, or None outside a git
+    checkout, before its first commit or without git."""
     import subprocess  # here, as only bench starts a process: saves start-up time
 
     try:
         done = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+            ["git", "--no-optional-locks", "status", "--porcelain=v2", "--branch",
+             "--untracked-files=normal"],
             cwd=where, capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
-    return done.stdout.strip() if done.returncode == 0 else None
+    lines = done.stdout.splitlines()
+    head = next((line.split()[2] for line in lines if line.startswith("# branch.oid ")), None)
+    if done.returncode != 0 or head in (None, "(initial)"):
+        return None
+    # header lines start with "#"; every other line is a changed or untracked path
+    return head + "-dirty" if any(not line.startswith("#") for line in lines) else head
 
 
 def _loglog_slope(sizes, seconds) -> float:

@@ -81,11 +81,6 @@ def _frac_vector(vec: Sequence, dim: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _integer_direction(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    scale = math.lcm(*(c.denominator for c in vec))
-    return primitive_vector(tuple(int(c * scale) for c in vec))
-
-
 def _complement_basis(directions, dim):
     """Rational basis of the orthogonal complement of the span of the given
     row vectors, via Gaussian elimination (nullspace of the row matrix)."""
@@ -163,39 +158,17 @@ def distinct_areas_from_point(ps: PointSet, p1: int) -> DistinctAreaResult:
         raise ValueError(f"index {p1} out of range")
     if n < 3:
         raise ValueError("need at least three points")
-    base = ps.points[p1]
-
-    hypothesis = True
-    seen_dirs: set[tuple[int, ...]] = set()
-    for i in range(n):
-        if i == p1:
-            continue
-        diff = tuple(c - b for c, b in zip(ps.points[i], base))
-        if not any(diff):
-            hypothesis = False  # a duplicate of p1 lies on every line through it
-            continue
-        d = _integer_direction(diff)
-        if d in seen_dirs:
-            hypothesis = False
-        seen_dirs.add(d)
-
-    best_partner = -1
-    best_count = -1
-    for p2 in range(n):
-        if p2 == p1:
-            continue
-        normal, offset = face_normal([base, ps.points[p2]])
-        # 2x the areas of the triangles (p1, p2, q); distinct counts agree
-        areas = {abs(sum(map(mul, normal, q)) - offset) for q in ps.points}
-        areas.discard(0)
-        if len(areas) > best_count:
-            best_partner, best_count = p2, len(areas)
-    return DistinctAreaResult(
-        base_point=p1,
-        best_partner=best_partner,
-        distinct_count=best_count,
-        hypothesis_holds=hypothesis,
-    )
+    coords, _ = integer_coordinates(ps)
+    x0, y0 = coords[p1]
+    diffs = [(x - x0, y - y0) for i, (x, y) in enumerate(coords) if i != p1]
+    # a duplicate of p1 (a zero difference) lies on every line through it
+    dirs = [primitive_vector(d) for d in diffs if any(d)]
+    # 2x the scaled areas of the triangles (p1, p2, q); distinct counts agree
+    counts = {p2: len(_distinct_apex_volumes(coords, (p1, p2), range(n)))
+              for p2 in range(n) if p2 != p1}
+    best = max(counts, key=counts.get)  # the first of the largest counts
+    return DistinctAreaResult(base_point=p1, best_partner=best, distinct_count=counts[best],
+                              hypothesis_holds=len(dirs) == len(diffs) == len(set(dirs)))
 
 
 def _distinct_apex_volumes(coords, face, apexes) -> set[int]:

@@ -294,11 +294,10 @@ def integer_hyperplane_key(normal: Sequence[int], offset: int,
     """Canonical key of the hyperplane normal . (scale * x) == offset, for an
     integer normal and offset: (scale * normal, offset) reduced by its gcd and
     by the leading sign of the normal."""
-    normal = [scale * c for c in normal]
-    g = math.gcd(*normal, offset) * leading_sign(normal)
+    g = math.gcd(scale * math.gcd(*normal), offset) * leading_sign(normal)
     if g == 0:
         raise DegenerateInput("zero normal spans no hyperplane")
-    return HyperplaneKey(normal=tuple(c // g for c in normal), offset=offset // g)
+    return HyperplaneKey(normal=tuple([scale * c // g for c in normal]), offset=offset // g)
 
 
 def _integerize(values: Sequence[Fraction]) -> tuple[int, ...]:

@@ -334,29 +334,28 @@ def _edge_scan_3d(pts, weight, collect):
     return best, count, n_planes, ties
 
 
-def _triangle_scan(xy, weight, collect):
-    """Least positive |(c - a) x (d - a)| over the (x, y)-sorted distinct
-    points xy with weights, returned as (cross, count, n_lines, ties).  count
-    is the number of index triples attaining cross (0 when all points are
-    collinear), n_lines the number of spanned lines, and ties, with collect,
-    lists the tied site triangles (a, c, d).
+def _triangle_scan(view, weight, collect):
+    """Least positive |(c - a) x (d - a)| over the sorted distinct points
+    view, which lie in the plane z == 0, with weights, returned as
+    (cross, count, n_lines, ties).  count is the number of index triples
+    attaining cross (0 when all points are collinear), n_lines the number of
+    spanned lines, and ties, with collect, lists the tied site triangles
+    (a, c, d).
 
     Each triangle of sites is found once, at its smallest site a, by
-    _window_pairs over the later sites: placed in the plane z == 0 and
-    projected along u = (0, 0, 1), a site c gives W = c - a, and
-    |det(u, c - a, d - a)| is the cross product.  A line through k
-    sites is a class at each of its first k - 1 sites, with k - 1 down to 1
-    members, so the classes with one member count the lines.  Memory is O(n)
-    plus the ties.
+    _window_pairs over the later sites: projected along u = (0, 0, 1), a
+    site c gives W = c - a, and |det(u, c - a, d - a)| is the cross product.
+    A line through k sites is a class at each of its first k - 1 sites, with
+    k - 1 down to 1 members, so the classes with one member count the lines.
+    Memory is O(n) plus the ties.
     """
-    span = max(xy[-1][0] - xy[0][0], max(y for _, y in xy) - min(y for _, y in xy))
+    span = max(view[-1][0] - view[0][0], max(p[1] for p in view) - min(p[1] for p in view))
     scale_k = span * span + 1
     vertical = -span * scale_k - 1
     best = 2 * span * span + 1  # above every |cross|
     count = n_lines = 0
     ties = []
-    view = [(x, y, 0) for x, y in xy]
-    for a in range(len(xy)):
+    for a in range(len(view)):
         least, pairs, tied, n_cls, multi, _ = _window_pairs(
             view, a, (0, 0, 1), a + 1, weight, scale_k, vertical, best, collect)
         n_lines += n_cls - len(multi)
@@ -381,167 +380,132 @@ def _expand(simplices, idx):
     """The sorted index tuples of the site simplices, idx[s] the input
     indices at site s."""
     return sorted(tuple(sorted(w)) for simplex in simplices
-                  for w in product(*(idx[s] for s in simplex)))
+                  for w in product(*map(idx.__getitem__, simplex)))
 
 
-def _contributing_3d(pts, idx, tets, scale):
-    """(PlaneSummary, SlabRecord) pairs of the site tetrahedra tets, one per
-    (plane, side) of their faces, ordered by normal, offset, below first.
+def _n_lines(pts, on):
+    """Number of lines spanned by the sorted distinct sites pts[s], s in on,
+    which span a plane.  A line through k sites has one site with exactly one
+    later site on it, so this counts the directions that exactly one later
+    site takes from each site; they lead positive as the sites are sorted."""
+    if len(on) == 3:
+        return 3
+    xyz = [pts[s] for s in on]
+    n_lines = 1  # from the second-to-last site; the last adds none
+    for i in range(len(xyz) - 2):
+        x, y, z = xyz[i]
+        once, more = set(), set()
+        for x2, y2, z2 in xyz[i + 1:]:
+            dx, dy, dz = x2 - x, y2 - y, z2 - z
+            c = math.gcd(dx, dy, dz)
+            d = dx // c, dy // c, dz // c
+            (more if d in once else once).add(d)
+        n_lines += len(once) - len(more)
+    return n_lines
 
-    Every face of a minimal tetrahedron is a minimum-area triangle of its
-    plane and its apex a nearest point on that side, so the faces and apexes
-    that share a (plane, side) are all of that plane's minimal triangles and
-    all of that side's nearest points.
 
-    The ties come as (a, b, c, d) with a < b < min(c, d), as _edge_scan_3d
-    finds them.  Each distinct face costs one face_normal and one
-    primitive_vector, and each (face, apex) pair a dot product and two set
-    insertions under its flat (g0, g1, g2, t, above) key; the plane keeps the
-    squared normal of its first face, which is 4 * scale^4 times its minimum
-    area squared.  Each contributing plane then costs one pass over the n
-    sites and, with k > 3 sites on it, O(k^2) for its lines.  Measured on a
-    shared 2-vCPU host (Python 3.11): 12 to 13 ms per input of 20 lattice
-    points with 244 tied tetrahedra and 314 planes (the seed-1 verify3d pool
-    of perfbench), and 0.24 to 0.33 s on gen_lattice_slab3d(50), with 27 456
-    ties and 3 378 planes, where the scan itself takes 0.06 s; about half of
-    that goes to the (face, apex) pairs and half to the planes.
+def _contributing(pts, idx, tied, scale):
+    """(summary, side record) pairs of the tied site simplices, one per
+    (hyperplane, side) of their facets, "below" first: (PlaneSummary,
+    SlabRecord) by key for tetrahedra of the sorted (x, y, z) sites, and
+    (LineSummary, LineSideRecord) by direction, then moment, for triangles
+    of the sorted sites (x, y, 0).
+
+    Every facet of a minimal simplex is a minimal facet of its hyperplane
+    and its apex a nearest point on that side, so the facets and apexes
+    that share a (hyperplane, side) are all of its minimal facets and all
+    of that side's nearest points.  Each sorted tie gives its (facet, apex)
+    pairs from one position table, and each pair goes under the flat key
+    (g0, g1, g2, t, above): the hyperplane is g . P == t, and the apex is
+    above iff t - g . apex < 0.  A triangle face has N = face_normal and
+    g = N / gcd, leading positive as in HyperplaneKey.  An edge with
+    direction e, leading positive as the sites are sorted, has
+    N = (-e1, e0, 0) and g = N / gcd, whose quarter turn is the LineKey
+    direction, so LineKey.side_of agrees with above.  The facet's squared
+    measure is |N|^2 / ((d - 1)!^2 scale^(2d - 2)), the apex's squared
+    distance dt^2 / (|g|^2 scale^2).
+
+    Each distinct facet costs one normal, each (facet, apex) pair a dot
+    product and two set insertions, and each hyperplane one pass over the n
+    sites (a normal's later hyperplanes share one bucketing by g . p) plus,
+    in a plane with k > 3 sites, O(k^2) for its lines.  On a shared 2-vCPU
+    host (Python 3.11): 10 to 13 ms per input of 20 lattice points with 244
+    ties and 314 planes (the seed-1 verify3d pool of perfbench), 0.33 s on
+    gen_lattice_slab3d(50) (27 456 ties, 3 378 planes) and 0.47 s on
+    gen_lattice2d(196) (22 916 ties, 8 830 lines).
     """
-    planes: dict[tuple[int, int, int], tuple] = {}
+    dim = len(tied[0]) - 1
+    positions = [(itemgetter(*(j for j in range(dim + 1) if j != k)), k)
+                 for k in range(dim + 1)]
+    facets: dict[tuple, tuple] = {}
     groups: dict[tuple, list] = {}
-    for a, b, c, d in tets:
-        if c > d:
-            c, d = d, c
-        for face, apex in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
-            plane = planes.get(face)
-            if plane is None:
-                normal = face_normal([pts[face[0]], pts[face[1]], pts[face[2]]])[0]
-                g0, g1, g2 = primitive_vector(normal)
-                x, y, z = pts[face[0]]
+    for tie in tied:
+        tie = sorted(tie)
+        for facet_of, k in positions:
+            facet, apex = facet_of(tie), tie[k]
+            hyper = facets.get(facet)
+            if hyper is None:
+                if dim == 3:
+                    a, b, c = facet
+                    normal = face_normal([pts[a], pts[b], pts[c]])[0]
+                    g0, g1, g2 = primitive_vector(normal)
+                else:
+                    (x, y, _), (x2, y2, _) = pts[facet[0]], pts[facet[1]]
+                    normal = (y - y2, x2 - x, 0)
+                    c = math.gcd(y - y2, x2 - x)
+                    g0, g1, g2 = (y - y2) // c, (x2 - x) // c, 0
+                x, y, z = pts[facet[0]]
                 n0, n1, n2 = normal
-                plane = planes[face] = (g0, g1, g2, g0 * x + g1 * y + g2 * z,
-                                        n0 * n0 + n1 * n1 + n2 * n2)
-            # the plane is g . P == t with g's leading entry positive, as in
-            # its key, so the apex is above iff dt < 0
-            g0, g1, g2, t, nsq = plane
+                hyper = facets[facet] = (g0, g1, g2, g0 * x + g1 * y + g2 * z,
+                                         n0 * n0 + n1 * n1 + n2 * n2)
+            g0, g1, g2, t, nsq = hyper
             x, y, z = pts[apex]
             dt = t - g0 * x - g1 * y - g2 * z
             key = (g0, g1, g2, t, dt < 0)
             group = groups.get(key)
             if group is None:
-                groups[key] = [{face}, {apex}, dt, nsq]
+                groups[key] = [{facet}, {apex}, dt, nsq]
             else:
-                group[0].add(face)
+                group[0].add(facet)
                 group[1].add(apex)
-    summaries: dict[tuple, PlaneSummary] = {}
+    measure_den = math.factorial(dim - 1) ** 2 * scale ** (2 * dim - 2)
+    record = SlabRecord if dim == 3 else LineSideRecord
+    dots_of = hyperplane = None
     contrib = []
-    for key in sorted(groups):
+    # a 2D key sorts by the direction (g1, -g0) of its line
+    for key in sorted(groups, key=None if dim == 3 else lambda key: (key[1], -key[0]) + key[3:]):
         g0, g1, g2, t, above = key
-        faces, apexes, dt, nsq = groups[key]
-        summary = summaries.get(key[:4])
-        if summary is None:
-            on = [s for s, (x, y, z) in enumerate(pts) if g0 * x + g1 * y + g2 * z == t]
-            # a line through k sites has exactly one site with one later site
-            # on it, so n_lines counts the directions that exactly one later
-            # site takes from each site: one from the second-to-last site,
-            # none from the last.  They lead positive as the sites are sorted.
-            n_lines = 3  # three sites that span a plane span three lines
-            if len(on) > 3:
-                xyz = [pts[s] for s in on]
-                n_lines = 1
-                for i in range(len(xyz) - 2):
-                    x, y, z = xyz[i]
-                    once, more = set(), set()
-                    for x2, y2, z2 in xyz[i + 1:]:
-                        dx, dy, dz = x2 - x, y2 - y, z2 - z
-                        c = math.gcd(dx, dy, dz)
-                        d = dx // c, dy // c, dz // c
-                        (more if d in once else once).add(d)
-                    n_lines += len(once) - len(more)
+        simplices, apexes, dt, nsq = groups[key]
+        gg = g0 * g0 + g1 * g1 + g2 * g2
+        if hyperplane != key[:4]:
+            hyperplane = key[:4]
+            # the sorted keys bring each normal's hyperplanes together
+            if dots_of != key[:3]:
+                dots_of, on_plane = key[:3], {}
+                on = [s for s, (x, y, z) in enumerate(pts) if g0 * x + g1 * y + g2 * z == t]
+            else:
+                if not on_plane:
+                    for s, (x, y, z) in enumerate(pts):
+                        on_plane.setdefault(g0 * x + g1 * y + g2 * z, []).append(s)
+                on = on_plane[t]
             incident = tuple(sorted(i for s in on for i in idx[s]))
-            tri = _expand(faces, idx)
-            summary = summaries[key[:4]] = PlaneSummary(
-                key=integer_hyperplane_key((g0, g1, g2), t, scale),
-                incident=incident,
-                n_points=len(incident),
-                n_lines=n_lines,
-                min_area_sq=Fraction(nsq, 4 * scale ** 4),
-                count=len(tri),
-                witnesses=tuple(tri),
-            )
+            wit = tuple(_expand(simplices, idx))
+            measure = Fraction(nsq, measure_den)
+            if dim == 3:
+                summary = PlaneSummary(
+                    key=integer_hyperplane_key((g0, g1, g2), t, scale), incident=incident,
+                    n_points=len(incident), n_lines=_n_lines(pts, on), min_area_sq=measure,
+                    count=len(wit), witnesses=wit)
+            else:  # the scaled line passes nearest the origin at t * g / |g|^2
+                summary = LineSummary(
+                    key=LineKey(direction=(g1, -g0), anchor=(Fraction(t * g0, gg * scale),
+                                                             Fraction(t * g1, gg * scale))),
+                    incident=incident, n_points=len(incident), min_length_sq=measure,
+                    count=len(wit), witnesses=wit)
         nearest = tuple(sorted(i for s in apexes for i in idx[s]))
-        slab = SlabRecord(
-            plane=summary.key,
-            side="above" if above else "below",
-            dist_sq=Fraction(dt * dt, (g0 * g0 + g1 * g1 + g2 * g2) * scale ** 2),
-            count=len(nearest),
-            nearest=nearest,
-        )
-        contrib.append((summary, slab))
-    return tuple(contrib)
-
-
-def _contributing_2d(xy, idx, tris, scale):
-    """(LineSummary, LineSideRecord) pairs of the site triangles tris, one per
-    (line, side) of their edges, ordered by direction, moment, below first.
-
-    Every edge of a minimal triangle is a shortest segment of its line and
-    its apex a nearest point on that side, so the edges and apexes that share
-    a (line, side) are all of that line's shortest segments and all of that
-    side's nearest points.
-    """
-    lines: dict[tuple[int, int], tuple[int, int, int]] = {}
-    groups: dict[tuple, tuple[set, set, int]] = {}
-    for tri in tris:
-        a, b, c = sorted(tri)
-        for edge, apex in (((b, c), a), ((a, c), b), ((a, b), c)):
-            line = lines.get(edge)
-            if line is None:
-                # the line is d0 * y - d1 * x == m with d primitive, which
-                # leads positive as the sites are sorted
-                (x, y), (x2, y2) = xy[edge[0]], xy[edge[1]]
-                g = math.gcd(x2 - x, y2 - y)
-                d0, d1 = (x2 - x) // g, (y2 - y) // g
-                line = lines[edge] = (d0, d1, d0 * y - d1 * x)
-            # the apex is above iff dm < 0
-            d0, d1, m = line
-            x, y = xy[apex]
-            dm = m - d0 * y + d1 * x
-            edges, apexes, _ = groups.setdefault(line + (dm < 0,), (set(), set(), dm))
-            edges.add(edge)
-            apexes.add(apex)
-    # the sites of every line in the contributing directions
-    on: dict[tuple[int, int, int], list[int]] = {}
-    for d0, d1 in {key[:2] for key in groups}:
-        for s, (x, y) in enumerate(xy):
-            on.setdefault((d0, d1, d0 * y - d1 * x), []).append(s)
-    summaries: dict[tuple, LineSummary] = {}
-    contrib = []
-    for (d0, d1, m, above), (edges, apexes, dm) in sorted(groups.items(), key=itemgetter(0)):
-        dd = d0 * d0 + d1 * d1
-        summary = summaries.get((d0, d1, m))
-        if summary is None:
-            incident = tuple(sorted(i for s in on[d0, d1, m] for i in idx[s]))
-            segments = _expand(edges, idx)
-            (x, y), (x2, y2) = (xy[s] for s in next(iter(edges)))
-            summary = summaries[d0, d1, m] = LineSummary(
-                # the scaled line passes nearest the origin at m * (-d1, d0) / dd
-                key=LineKey(direction=(d0, d1), anchor=(Fraction(-m * d1, dd * scale),
-                                                        Fraction(m * d0, dd * scale))),
-                incident=incident,
-                n_points=len(incident),
-                min_length_sq=Fraction((x2 - x) ** 2 + (y2 - y) ** 2, scale ** 2),
-                count=len(segments),
-                witnesses=tuple(segments),
-            )
-        nearest = tuple(sorted(i for s in apexes for i in idx[s]))
-        record = LineSideRecord(
-            line=summary.key,
-            side="above" if above else "below",
-            dist_sq=Fraction(dm * dm, dd * scale ** 2),
-            count=len(nearest),
-            nearest=nearest,
-        )
-        contrib.append((summary, record))
+        contrib.append((summary, record(summary.key, "above" if above else "below",
+                                        Fraction(dt * dt, gg * scale ** 2), len(nearest),
+                                        nearest)))
     return tuple(contrib)
 
 
@@ -618,8 +582,8 @@ def min_area_triangles_in_plane(ps: PointSet,
     # a 2D set is the plane z == 0, whose dropped coordinate is absent
     normal = key.normal if key else (0, 0, 1)
     k = max(range(3), key=lambda c: abs(normal[c]))
-    xy, sites = _sites({i: coords[i][:k] + coords[i][k + 1:] for i in idx}, idx)
-    cross, count, n_lines, tris = _triangle_scan(xy, [len(s) for s in sites], True)
+    view, sites = _sites({i: coords[i][:k] + coords[i][k + 1:] + (0,) for i in idx}, idx)
+    cross, count, n_lines, tris = _triangle_scan(view, [len(s) for s in sites], True)
     if not count:
         raise AllDegenerate("all incident points are collinear")
     return PlaneSummary(
@@ -690,11 +654,8 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
         raise AllDegenerate("all points are coplanar" if n_planes else "all points are collinear")
     min_volume = Fraction(det, 6 * scale ** 3)
 
-    wit_list = None
-    contributing = None
-    if witnesses:
-        wit_list = tuple(_expand(tets, idx))
-        contributing = _contributing_3d(pts, idx, tets, scale)
+    wit_list = tuple(_expand(tets, idx)) if witnesses else None
+    contributing = _contributing(pts, idx, tets, scale) if witnesses else None
     return MinVolumeReport(
         min_volume=min_volume,
         min_volume_sq=min_volume * min_volume,
@@ -723,19 +684,17 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
     if len(ps) < 3:
         raise AllDegenerate("fewer than three points cannot span a triangle")
     coords, scale = integer_coordinates(ps)
-    xy, idx = _sites(coords, range(len(ps)))
-    if len(xy) < 2:
+    # the sites at z == 0, as the scan and the witness groups take them
+    sites, idx = _sites([(x, y, 0) for x, y in coords], range(len(ps)))
+    if len(sites) < 2:
         raise AllDegenerate("all points coincide")
-    cross, count, n_lines, tris = _triangle_scan(xy, [len(i) for i in idx], witnesses)
+    cross, count, n_lines, tris = _triangle_scan(sites, [len(i) for i in idx], witnesses)
     if not count:
         raise AllDegenerate("all points are collinear")
     min_area = Fraction(cross, 2 * scale ** 2)
 
-    wit_list = None
-    contributing = None
-    if witnesses:
-        wit_list = tuple(_expand(tris, idx))
-        contributing = _contributing_2d(xy, idx, tris, scale)
+    wit_list = tuple(_expand(tris, idx)) if witnesses else None
+    contributing = _contributing(sites, idx, tris, scale) if witnesses else None
     return MinAreaReport(
         min_area=min_area,
         min_area_sq=min_area * min_area,

@@ -48,13 +48,6 @@ def test_min_simplices_prism8():
     assert result.count == 48
 
 
-def test_min_simplices_witness_cap_keeps_exact_count():
-    out = gen_min_tetra_prism(8, F(1, 64))
-    result = min_volume_simplices(out.points, 3, max_witnesses=5)
-    assert result.count == 48
-    assert len(result.witnesses) == 5
-
-
 def test_min_simplices_all_degenerate():
     ps = PointSet([(0, 0), (1, 0), (2, 0), (5, 0)])
     with pytest.raises(AllDegenerate):
@@ -266,8 +259,6 @@ def test_full_dimensional_scans_match_per_subset_determinants(d):
         assert result.min_squared_volume == (positive[0] / scale) ** 2
         assert result.witnesses == tuple(least)
         assert result.count == len(least)
-        capped = min_volume_simplices(ps, d, max_witnesses=2)
-        assert capped.witnesses == tuple(least[:2]) and capped.count == len(least)
         assert distinct_volumes(ps).distinct_values == tuple(v / scale for v in positive)
         for v in positive[:: max(1, len(positive) // 3)]:
             report = count_simplices_with_volume(ps, v / scale, d, keep_witnesses=True)

@@ -126,7 +126,7 @@ def test_minvol_oracle_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     path = write_points(tmp_path, "tetra.txt",
                         "dim 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
 
-    def fake_oracle(ps, k, max_witnesses=None):
+    def fake_oracle(ps, k):
         return MinSimplexResult(min_squared_volume=F(1, 999),
                                 witnesses=((0, 1, 2, 3),), count=7)
 
@@ -346,13 +346,21 @@ def test_git_revision_marks_dirty_trees(tmp_path, monkeypatch):
                        cwd=repo, check=True, capture_output=True, timeout=30)
 
     (repo / "points.txt").write_text("dim 2\n0 0\n")
+    (repo / ".gitignore").write_text("*.log\n")
     git("init", "-q")
-    git("add", "points.txt")
+    assert _git_revision(str(repo)) is None  # no commit yet
+    git("add", "points.txt", ".gitignore")
     git("commit", "-q", "-m", "points")
     git("tag", "-a", "v1", "-m", "a tag does not change the format")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
                           text=True, timeout=30, check=True).stdout.strip()
     assert _git_revision(str(repo)) == head
+    (repo / "run.log").write_text("ignored files keep the tree clean\n")
+    assert _git_revision(str(repo)) == head
     (repo / "points.txt").write_text("dim 2\n1 1\n")
+    assert _git_revision(str(repo)) == head + "-dirty"
+    (repo / "points.txt").write_text("dim 2\n0 0\n")
+    assert _git_revision(str(repo)) == head
+    (repo / "new.txt").write_text("dim 2\n2 2\n")
     assert _git_revision(str(repo)) == head + "-dirty"
     assert _git_revision(str(outside)) is None

@@ -19,6 +19,7 @@ from simplexvol import (
     gen_min_ksimplex_lines,
     gen_min_tetra_prism,
     gen_random_rational,
+    hyperplane_key,
     line_key,
     min_area_triangles,
     min_area_triangles_in_plane,
@@ -479,6 +480,34 @@ CONTRIBUTING_2D = pytest.mark.parametrize("ps", [
 ], ids=["random", "prime-denominators", "lattice"])
 
 
+def check_contributing_2d(ps):
+    """Each contributing (line, side) pair equals the line's own shortest
+    segments and the side of its empty slabs whose nearest points lie on
+    that side of the line key, the pairs are the (line, side) of the edges
+    of the oracle's witnesses, and they come by direction, then moment,
+    below first."""
+    report = min_area_triangles(ps)
+    for summary, record in report.contributing:
+        run = shortest_segments_on_line(ps, summary.incident)
+        assert (summary.min_length_sq, summary.count, summary.witnesses) == (
+            run.min_length_sq, run.count, run.pairs)
+        sign = {"above": 1, "below": -1}[record.side]
+        slab, = [slab for slab in empty_slabs(ps, hyperplane_key(ps, summary.witnesses[0]))
+                 if slab and summary.key.side_of(ps.points[slab.nearest[0]]) == sign]
+        assert (record.dist_sq, record.nearest) == (slab.dist_sq, slab.nearest)
+    expected = set()
+    for tri in min_volume_simplices(ps, 2).witnesses:
+        for apex in tri:
+            key = line_key(ps, *[i for i in tri if i != apex])
+            expected.add((key, "above" if key.side_of(ps.points[apex]) > 0 else "below"))
+    assert {(summary.key, record.side) for summary, record in report.contributing} == expected
+    # the moment of a line with direction d through anchor a is d x a
+    order = [(s.key.direction, s.key.direction[0] * s.key.anchor[1]
+              - s.key.direction[1] * s.key.anchor[0], r.side == "above")
+             for s, r in report.contributing]
+    assert order == sorted(set(order))
+
+
 class TestMinAreaTriangles:
     def test_unit_square(self):
         ps = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -523,6 +552,19 @@ class TestMinAreaTriangles:
                 i for i, p in enumerate(ps.points) if summary.key.contains(p))
             total += summary.count * record.count
         assert total == report.sum_side_products
+
+    @CONTRIBUTING_2D
+    def test_contributing_matches_per_line_scans(self, ps):
+        check_contributing_2d(ps)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tie_heavy_2d())
+    def test_contributing_matches_per_line_scans_on_tie_heavy_sets(self, ps):
+        try:
+            min_volume_simplices(ps, 2)
+        except AllDegenerate:
+            return
+        check_contributing_2d(ps)
 
     @CONTRIBUTING_2D
     def test_contributing_line_keys_and_sides(self, ps):

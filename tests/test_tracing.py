@@ -1,0 +1,19 @@
+"""The benchmark's tracer wraps package functions by module and attribute
+name, so a rename in the package fails here instead of in a traced
+benchmark run."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # no bytecode cache under perfbench/, which would change the benchmark's set-up time
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    missing = [(module.__name__, attr) for module, attr, _ in tracing.TARGETS
+               if not hasattr(module, attr)]
+    assert missing == []
