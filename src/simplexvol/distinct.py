@@ -18,6 +18,7 @@ from .exact import (
     DegenerateInput,
     DimensionMismatch,
     PointSet,
+    _scalar,
     face_normal,
     integer_coordinates,
     primitive_vector,
@@ -70,17 +71,6 @@ class CommonFaceResult:
     mode: str
 
 
-def _frac_vector(vec: Sequence, dim: int) -> tuple[Fraction, ...]:
-    if len(vec) != dim:
-        raise DimensionMismatch(f"direction {vec} does not have {dim} coordinates")
-    out = []
-    for c in vec:
-        if isinstance(c, float):
-            raise TypeError("directions must be exact rationals")
-        out.append(Fraction(c))
-    return tuple(out)
-
-
 def _complement_basis(directions, dim):
     """Rational basis of the orthogonal complement of the span of the given
     row vectors, via Gaussian elimination (nullspace of the row matrix)."""
@@ -120,7 +110,11 @@ def project_orthogonal(ps: PointSet, directions: Iterable[Sequence]) -> Projecte
     directions the projection is the identity on a 2D set.
     """
     dim = ps.dim
-    dirs = tuple(_frac_vector(d, dim) for d in directions)
+    dirs = []
+    for d in directions:
+        if len(d) != dim:
+            raise DimensionMismatch(f"direction {d} does not have {dim} coordinates")
+        dirs.append(tuple(map(_scalar, d)))
     if dim - len(dirs) != 2:
         raise DimensionMismatch(
             f"projecting out {len(dirs)} directions from R^{dim} does not leave a plane")
@@ -137,7 +131,7 @@ def project_orthogonal(ps: PointSet, directions: Iterable[Sequence]) -> Projecte
         rows.append(((g22 * t1 - g12 * t2) / det_g, (g11 * t2 - g12 * t1) / det_g))
     return ProjectedSet(
         points=PointSet(rows, dim=2, allow_duplicates=True),
-        directions=dirs,
+        directions=tuple(dirs),
         basis=(tuple(b1), tuple(b2)),
         area_sq_scale=det_g,
     )

@@ -11,15 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import DegenerateInput, DimensionMismatch, HyperplaneKey, Point
+from .exact import DegenerateInput, DimensionMismatch, HyperplaneKey, Point, _scalar
 
 __all__ = ["DualPlane", "point_to_plane", "plane_to_point"]
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("exact coordinate expected, not float")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -31,15 +25,15 @@ class DualPlane:
     c: Fraction
 
     def z_at(self, x, y) -> Fraction:
-        return self.a * _frac(x) + self.b * _frac(y) - self.c
+        return self.a * _scalar(x) + self.b * _scalar(y) - self.c
 
     def contains(self, point: Sequence) -> bool:
-        x, y, z = (_frac(v) for v in point)
+        x, y, z = (_scalar(v) for v in point)
         return z == self.z_at(x, y)
 
     def vertical_offset(self, point: Sequence) -> Fraction:
         """Signed vertical distance from the plane up to the point."""
-        x, y, z = (_frac(v) for v in point)
+        x, y, z = (_scalar(v) for v in point)
         return z - self.z_at(x, y)
 
     @classmethod
@@ -59,7 +53,7 @@ def point_to_plane(point: Sequence) -> DualPlane:
     """Dual of a point (a, b, c): the plane z = a*x + b*y - c."""
     if len(point) != 3:
         raise DimensionMismatch("duality is defined for points in 3-space")
-    a, b, c = (_frac(v) for v in point)
+    a, b, c = (_scalar(v) for v in point)
     return DualPlane(a=a, b=b, c=c)
 
 

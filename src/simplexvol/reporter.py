@@ -2,20 +2,20 @@
 minimum-nonzero-area triangles (2D), faster than the brute-force scan.
 
 The computation stays in the primal and runs on denominator-cleared integer
-coordinates, with coincident points merged into weighted sites.  Both
-dimensions come down to one 2D problem, solved by _window_pairs: the least
-positive |W_x x W_z| over integer vectors W drawn from a base flat.  Only the
-shortest W of each direction can be in a minimal pair, and the directions
-are paired shortest first in angular windows that the running minimum
-narrows.
+coordinates, with coincident points merged into weighted sites; a 2D set is
+taken as its sites in the plane z == 0.  Both dimensions come down to one 2D
+problem, solved by _window_pairs: the least positive |W_x x W_z| over integer
+vectors W drawn from a base flat.  Only the shortest W of each direction can
+be in a minimal pair, and the directions are paired shortest first in angular
+windows that the running minimum narrows.
 
-* In 2D every triangle is found once, at its smallest site a, with W = c - a
-  over the later sites c.  A plane of a 3D set is scanned the same way after
-  its points are projected onto a coordinate plane.
-* In 3D every tetrahedron is found once, at its two smallest sites a < b.
-  Projected along b - a, the volume is |b - a| times the area of the
-  projected triangle over three, so W is the projection of c - a.  The
-  spanned planes are counted from the same pass over the later sites.
+One routine, _scan, finds every simplex once, at its face of dim - 1 smallest
+sites, and draws W from the later sites c.  In 2D the face is a site a and
+W = c - a.  In 3D it is an edge a < b: projected along b - a, the volume is
+|b - a| times the area of the projected triangle over three, so W is the
+projection of c - a.  The spanned lines or planes are counted from the same
+pass.  A plane of a 3D set is scanned as a 2D set after its points are
+projected onto a coordinate plane.
 
 The faces and apexes of the tied simplices then give each contributing line
 or plane and its nearest points on one side (its empty slab).  A
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable
 
@@ -270,20 +270,23 @@ def _collinear(pts, sites):
     return True
 
 
-def _edge_scan_3d(pts, weight, collect):
-    """Least positive |det(b - a, c - a, d - a)| over the (x, y, z)-sorted
-    distinct points pts with weights (input points per site), returned as
-    (det, count, n_planes, ties).  count is the number of index 4-subsets
-    attaining det (0 when none spans), n_planes the number of spanned planes,
-    and ties, with collect, lists the tied site tetrahedra (a, b, c, d).
+def _scan(pts, weight, dim, collect):
+    """Least positive |det| over the simplices of the (x, y, z)-sorted
+    distinct sites pts, returned as (det, count, n_flats, ties): det is twice
+    a triangle's area for dim == 2, whose sites lie in the plane z == 0, and
+    six times a tetrahedron's volume for dim == 3.  count is the number of
+    index (dim + 1)-subsets attaining det, with weight the input points per
+    site (0 when none spans), n_flats the number of spanned lines (2D) or
+    planes (3D), and ties, with collect, lists the tied site simplices.
 
-    Each 4-subset of sites is found once, at its two smallest sites a < b,
-    by _window_pairs along u = b - a over the later sites: its classes are
-    the planes P through ab, and the shortest W of a class are the sites of
-    that plane nearest to line ab.  Memory is O(n) per pair, plus the ties.
+    Each simplex is found once, at its face of dim - 1 smallest sites, by
+    _window_pairs along u over the later sites, whose classes are the flats
+    through the face.  In 2D the face is a and u = (0, 0, 1), so W = c - a.
+    In 3D the face is a < b and u = b - a, and the shortest W of a class are
+    the sites of its plane nearest to line ab.  Memory is O(n) per face,
+    plus the ties.
 
-    The planes are counted from the same pass.  With Z the later sites on
-    line ab and M_P the members of class P,
+    In 3D, with Z the later sites on line ab and M_P the members of class P,
 
         n_planes = sum over a < b and P of [Z empty and a, M_P collinear]
                    - [|M_P + Z| >= 2 and M_P + Z on one line that misses b].
@@ -296,17 +299,30 @@ def _edge_scan_3d(pts, weight, collect):
     each i < t.  The plane adds (t + 1) - t = 1.  A one-member class adds
     [|Z| = 0] - [|Z| = 1], and with |Z| >= 2 no term fires, so only classes
     with two or more members need their sites.
+
+    In 2D, Z, the later sites at a, is empty, and a line with sites
+    s_0 < ... < s_(k-1) is a class at each s_i, i < k - 1, with the k - 1 - i
+    sites after s_i as members.  Only at s_(k-2) has it one member, so n_lines
+    is the one-member term alone.  Larger classes add nothing in 2D, and the
+    3D terms, which would count them as a, M_P lie on their line, are skipped.
     """
     m = len(pts)
     span = max(max(p[c] for p in pts) - min(p[c] for p in pts) for c in range(3))
-    best = 6 * span ** 3 + 1  # above every |det|, which is at most (3 span^2)^(3/2)
-    count = n_planes = 0
+    # above every |det|: 2 span^2 in 2D, (3 span^2)^(3/2) in 3D
+    best = math.factorial(dim) * span ** dim + 1
+    count = n_flats = 0
     ties = []
-    # the coordinates as (i, j, k) with k the dropped one
-    views = [[(p[1], p[2], p[0]) for p in pts], [(p[0], p[2], p[1]) for p in pts], pts]
-    for a in range(m - 2):
-        x, y, z = pts[a]
-        for b in range(a + 1, m - 1):
+    if dim == 2:
+        view, u = pts, (0, 0, 1)
+        scale_k = span * span + 1  # W = c - a has entries at most span
+        vertical = -span * scale_k - 1
+    else:
+        # the coordinates as (i, j, k) with k the dropped one
+        views = [[(p[1], p[2], p[0]) for p in pts], [(p[0], p[2], p[1]) for p in pts], pts]
+    for face in combinations(range(m - 1), dim - 1):
+        a, b = face[0], face[-1]
+        if dim == 3:
+            x, y, z = pts[a]
             dx, dy, dz = pts[b]
             dx, dy, dz = abs(dx - x), abs(dy - y), abs(dz - z)
             # k is the first coordinate with the largest |u_k|
@@ -318,52 +334,22 @@ def _edge_scan_3d(pts, weight, collect):
             mag = 2 * abs(u[2]) * span
             scale_k = mag * mag + 1
             vertical = -mag * scale_k - 1
-            least, pairs, tied, n_cls, multi, axis = _window_pairs(
-                view, a, u, b + 1, weight, scale_k, vertical, best, collect)
-            if len(axis) < 2:
-                n_planes += (n_cls - len(multi)) * (-1 if axis else 1)
+        least, pairs, tied, n_cls, multi, axis = _window_pairs(
+            view, a, u, b + 1, weight, scale_k, vertical, best, collect)
+        if len(axis) < 2:
+            n_flats += (n_cls - len(multi)) * (-1 if axis else 1)
+            if dim == 3:
                 for members in multi.values():
                     line = axis + members
-                    n_planes += ((not axis and _collinear(pts, [a] + members))
-                                 - (_collinear(pts, line)
-                                    and not _collinear(pts, line[:2] + [b])))
+                    n_flats += ((not axis and _collinear(pts, [a] + members))
+                                - (_collinear(pts, line)
+                                   and not _collinear(pts, line[:2] + [b])))
+        if pairs:
             if least < best:
                 best, count, ties = least, 0, []
-            count += weight[a] * weight[b] * pairs
-            ties += [(a, b, c, d) for cs, ds in tied for c in cs for d in ds]
-    return best, count, n_planes, ties
-
-
-def _triangle_scan(view, weight, collect):
-    """Least positive |(c - a) x (d - a)| over the sorted distinct points
-    view, which lie in the plane z == 0, with weights, returned as
-    (cross, count, n_lines, ties).  count is the number of index triples
-    attaining cross (0 when all points are collinear), n_lines the number of
-    spanned lines, and ties, with collect, lists the tied site triangles
-    (a, c, d).
-
-    Each triangle of sites is found once, at its smallest site a, by
-    _window_pairs over the later sites: projected along u = (0, 0, 1), a
-    site c gives W = c - a, and |det(u, c - a, d - a)| is the cross product.
-    A line through k sites is a class at each of its first k - 1 sites, with
-    k - 1 down to 1 members, so the classes with one member count the lines.
-    Memory is O(n) plus the ties.
-    """
-    span = max(view[-1][0] - view[0][0], max(p[1] for p in view) - min(p[1] for p in view))
-    scale_k = span * span + 1
-    vertical = -span * scale_k - 1
-    best = 2 * span * span + 1  # above every |cross|
-    count = n_lines = 0
-    ties = []
-    for a in range(len(view)):
-        least, pairs, tied, n_cls, multi, _ = _window_pairs(
-            view, a, (0, 0, 1), a + 1, weight, scale_k, vertical, best, collect)
-        n_lines += n_cls - len(multi)
-        if least < best:
-            best, count, ties = least, 0, []
-        count += weight[a] * pairs
-        ties += [(a, c, d) for cs, ds in tied for c in cs for d in ds]
-    return best, count, n_lines, ties
+            count += math.prod(map(weight.__getitem__, face)) * pairs
+            ties += [face + (c, d) for cs, ds in tied for c in cs for d in ds]
+    return best, count, n_flats, ties
 
 
 def _sites(coords, indices):
@@ -509,6 +495,30 @@ def _contributing(pts, idx, tied, scale):
     return tuple(contrib)
 
 
+def _minimal(ps, dim, witnesses):
+    """(measure, count, n_flats, witnesses, contributing) of the minimum-area
+    triangles (dim 2) or minimum-volume tetrahedra (dim 3) of ps, the last
+    two None without witnesses.  A 2D set is scanned as its sites at z == 0.
+    """
+    if ps.dim != dim:
+        raise DimensionMismatch(f"need a {dim}D point set, got dim {ps.dim}")
+    if len(ps) <= dim:
+        raise AllDegenerate("fewer than three points cannot span a triangle" if dim == 2
+                            else "fewer than four points cannot span a tetrahedron")
+    coords, scale = integer_coordinates(ps)
+    pts, idx = _sites([p + (0,) * (3 - dim) for p in coords], range(len(ps)))
+    if dim == 2 and len(pts) < 2:
+        raise AllDegenerate("all points coincide")
+    det, count, n_flats, ties = _scan(pts, [len(i) for i in idx], dim, witnesses)
+    if not count:
+        raise AllDegenerate("all points are coplanar" if dim == 3 and n_flats
+                            else "all points are collinear")
+    measure = Fraction(det, math.factorial(dim) * scale ** dim)
+    if not witnesses:
+        return measure, count, n_flats, None, None
+    return measure, count, n_flats, tuple(_expand(ties, idx)), _contributing(pts, idx, ties, scale)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -541,18 +551,11 @@ def shortest_segments_on_line(ps: PointSet, indices: Iterable[int]) -> SegmentRu
 
 def _noncollinear_triple(ps: PointSet, indices):
     first = indices[0]
-    second = None
-    for i in indices[1:]:
-        if ps.points[i] != ps.points[first]:
-            second = i
-            break
+    second = next((i for i in indices if ps.points[i] != ps.points[first]), None)
     if second is None:
         return None
     key = line_key(ps, first, second)
-    for i in indices:
-        if not key.contains(ps.points[i]):
-            return (first, second, i)
-    return None
+    return next(((first, second, i) for i in indices if not key.contains(ps.points[i])), None)
 
 
 def min_area_triangles_in_plane(ps: PointSet,
@@ -583,7 +586,7 @@ def min_area_triangles_in_plane(ps: PointSet,
     normal = key.normal if key else (0, 0, 1)
     k = max(range(3), key=lambda c: abs(normal[c]))
     view, sites = _sites({i: coords[i][:k] + coords[i][k + 1:] + (0,) for i in idx}, idx)
-    cross, count, n_lines, tris = _triangle_scan(view, [len(s) for s in sites], True)
+    cross, count, n_lines, tris = _scan(view, [len(s) for s in sites], 2, True)
     if not count:
         raise AllDegenerate("all incident points are collinear")
     return PlaneSummary(
@@ -643,28 +646,8 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
     contributing (plane, slab) pairs are materialized from the tied points
     as well.
     """
-    if ps.dim != 3:
-        raise DimensionMismatch(f"need a 3D point set, got dim {ps.dim}")
-    if len(ps) < 4:
-        raise AllDegenerate("fewer than four points cannot span a tetrahedron")
-    coords, scale = integer_coordinates(ps)
-    pts, idx = _sites(coords, range(len(ps)))
-    det, count, n_planes, tets = _edge_scan_3d(pts, [len(i) for i in idx], witnesses)
-    if not count:
-        raise AllDegenerate("all points are coplanar" if n_planes else "all points are collinear")
-    min_volume = Fraction(det, 6 * scale ** 3)
-
-    wit_list = tuple(_expand(tets, idx)) if witnesses else None
-    contributing = _contributing(pts, idx, tets, scale) if witnesses else None
-    return MinVolumeReport(
-        min_volume=min_volume,
-        min_volume_sq=min_volume * min_volume,
-        count=count,
-        sum_face_products=4 * count,
-        n_planes=n_planes,
-        witnesses=wit_list,
-        contributing=contributing,
-    )
+    vol, count, n_planes, wit, contributing = _minimal(ps, 3, witnesses)
+    return MinVolumeReport(vol, vol * vol, count, 4 * count, n_planes, wit, contributing)
 
 
 def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
@@ -679,28 +662,5 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
     witnesses the tied triangles are kept too, and the witness triangles and
     the contributing (line, side) pairs are materialized from them.
     """
-    if ps.dim != 2:
-        raise DimensionMismatch(f"need a 2D point set, got dim {ps.dim}")
-    if len(ps) < 3:
-        raise AllDegenerate("fewer than three points cannot span a triangle")
-    coords, scale = integer_coordinates(ps)
-    # the sites at z == 0, as the scan and the witness groups take them
-    sites, idx = _sites([(x, y, 0) for x, y in coords], range(len(ps)))
-    if len(sites) < 2:
-        raise AllDegenerate("all points coincide")
-    cross, count, n_lines, tris = _triangle_scan(sites, [len(i) for i in idx], witnesses)
-    if not count:
-        raise AllDegenerate("all points are collinear")
-    min_area = Fraction(cross, 2 * scale ** 2)
-
-    wit_list = tuple(_expand(tris, idx)) if witnesses else None
-    contributing = _contributing(sites, idx, tris, scale) if witnesses else None
-    return MinAreaReport(
-        min_area=min_area,
-        min_area_sq=min_area * min_area,
-        count=count,
-        sum_side_products=3 * count,
-        n_lines=n_lines,
-        witnesses=wit_list,
-        contributing=contributing,
-    )
+    area, count, n_lines, wit, contributing = _minimal(ps, 2, witnesses)
+    return MinAreaReport(area, area * area, count, 3 * count, n_lines, wit, contributing)

@@ -66,6 +66,15 @@ class TestProjection:
         with pytest.raises(DimensionMismatch):
             project_orthogonal(ps, [(1, 0, 0), (0, 1, 0)])
 
+    def test_inexact_directions_rejected(self):
+        ps = PointSet([(0, 0, 0), (1, 1, 1)])
+        with pytest.raises(TypeError):
+            project_orthogonal(ps, [(0.5, 0, 1)])
+        with pytest.raises(DimensionMismatch, match=r"direction \(1, 0\) does not have 3"):
+            project_orthogonal(ps, [(1, 0)])
+        # the same scalars as a point set's: 'p/q' strings are exact
+        assert project_orthogonal(ps, [("1/2", 0, 0)]).directions == ((F(1, 2), 0, 0),)
+
 
 class TestDistinctAreas:
     def test_unit_square(self):

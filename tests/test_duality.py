@@ -63,3 +63,12 @@ def test_vertical_plane_rejected():
 def test_point_dimension_checked():
     with pytest.raises(Exception):
         point_to_plane((1, 2))
+
+
+def test_inexact_coordinates_rejected():
+    plane = point_to_plane((1, F(1, 2), "3/4"))
+    assert plane.c == F(3, 4)
+    for call in (lambda: point_to_plane((1, 0.5, 0)), lambda: plane.z_at(0.5, 0),
+                 lambda: plane.contains((0, 0, 0.5)), lambda: plane.vertical_offset((0.5, 0, 0))):
+        with pytest.raises(TypeError):
+            call()

@@ -26,12 +26,13 @@ from simplexvol import (
     min_volume_simplices,
     min_volume_tetrahedra,
     plane_key,
+    rich_lines,
     shortest_segments_on_line,
     spanned_planes,
     squared_distance_point_plane,
 )
 from simplexvol.exact import integer_coordinates
-from simplexvol.reporter import _edge_scan_3d
+from simplexvol.reporter import _scan
 from helpers import random_spanning
 
 LINE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]
@@ -414,7 +415,7 @@ class TestMinVolumeTetrahedra:
         # the report is refused, so the scan's own count is read
         coords, _ = integer_coordinates(ps)
         pts = sorted(set(coords))
-        assert _edge_scan_3d(pts, [1] * len(pts), False)[2] == 1 == len(spanned_planes(ps))
+        assert _scan(pts, [1] * len(pts), 3, False)[2] == 1 == len(spanned_planes(ps))
 
     @pytest.mark.parametrize("ps", [
         # four sites on the x axis: at a, b = (0, 0, 0), (2, 0, 0) the site
@@ -591,6 +592,15 @@ class TestMinAreaTriangles:
         with pytest.raises(AllDegenerate):
             min_area_triangles(ps)
 
+    def test_collinear_set_spans_one_line(self):
+        ps = PointSet([(x, 2 * x - 1) for x in range(-2, 4)])
+        with pytest.raises(AllDegenerate, match="collinear"):
+            min_area_triangles(ps)
+        # the report is refused, so the scan's own count is read
+        coords, _ = integer_coordinates(ps)
+        pts = sorted(set((x, y, 0) for x, y in coords))
+        assert _scan(pts, [1] * len(pts), 2, False)[2] == 1 == len(rich_lines(ps, 2).lines)
+
     def test_coincident_and_vertical_collinear_errors(self):
         with pytest.raises(AllDegenerate, match="coincide"):
             min_area_triangles(PointSet([(1, 2)] * 4, allow_duplicates=True))
@@ -621,3 +631,32 @@ class TestMinAreaTriangles:
         except AllDegenerate:
             return
         assert report.n_lines == spanned_line_count(ps)
+
+
+def test_apex_over_a_planar_set_lifts_the_2d_report():
+    """A 2D set P lifted to z == 0, with an apex at height h placed last: its
+    minimum tetrahedra are the minimum triangles of P with the apex, so the
+    3D scan over the faces a < b and the 2D scan over the faces a agree."""
+    rng = random.Random(11)
+    spanning = 0
+    for _ in range(150):
+        pts = [(F(rng.randint(-4, 4), rng.choice((1, 2, 3))),
+                F(rng.randint(-4, 4), rng.choice((1, 2)))) for _ in range(rng.randint(3, 9))]
+        pts += rng.sample(pts, rng.randint(0, 2))  # duplicates
+        n, h = len(pts), F(rng.randint(1, 9), rng.randint(1, 4))
+        apex = (F(rng.randint(-4, 4), 5), F(1, 3), h)
+        plane = PointSet(pts, allow_duplicates=True)
+        lifted = PointSet([(x, y, 0) for x, y in pts] + [apex], allow_duplicates=True)
+        try:
+            report_2d = min_area_triangles(plane)
+        except AllDegenerate:
+            with pytest.raises(AllDegenerate):
+                min_volume_tetrahedra(lifted)
+            continue
+        report_3d = min_volume_tetrahedra(lifted)
+        assert report_3d.min_volume == report_2d.min_area * h / 3
+        assert report_3d.count == report_2d.count
+        assert report_3d.witnesses == tuple(t + (n,) for t in report_2d.witnesses)
+        assert report_3d.n_planes == report_2d.n_lines + 1
+        spanning += 1
+    assert spanning > 100
