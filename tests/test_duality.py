@@ -2,6 +2,7 @@
 reversal and vertical-distance preservation, all exact."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -68,7 +69,9 @@ def test_point_dimension_checked():
 def test_inexact_coordinates_rejected():
     plane = point_to_plane((1, F(1, 2), "3/4"))
     assert plane.c == F(3, 4)
+    # the scalars a point set takes, so no float and no Decimal
     for call in (lambda: point_to_plane((1, 0.5, 0)), lambda: plane.z_at(0.5, 0),
-                 lambda: plane.contains((0, 0, 0.5)), lambda: plane.vertical_offset((0.5, 0, 0))):
+                 lambda: plane.contains((0, 0, 0.5)), lambda: plane.vertical_offset((0.5, 0, 0)),
+                 lambda: point_to_plane((Decimal(1), 0, 0))):
         with pytest.raises(TypeError):
             call()
