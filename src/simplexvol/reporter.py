@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .exact import (
@@ -52,7 +52,6 @@ from .exact import (
     PointSet,
     face_normal,
     integer_coordinates,
-    integer_hyperplane_key,
     line_key,
     plane_key,
     primitive_vector,
@@ -362,11 +361,15 @@ def _sites(coords, indices):
     return pts, [sites[p] for p in pts]
 
 
-def _expand(simplices, idx):
+def _expand(simplices, idx, single):
     """The sorted index tuples of the site simplices, idx[s] the input
-    indices at site s."""
-    return sorted(tuple(sorted(w)) for simplex in simplices
-                  for w in product(*map(idx.__getitem__, simplex)))
+    indices at site s.  single says that every site holds one input point,
+    as in a set without duplicates: each simplex is then one tuple, with no
+    product of the sites' indices to take."""
+    if single:
+        return sorted([tuple(sorted([idx[s][0] for s in simplex])) for simplex in simplices])
+    return sorted([tuple(sorted(w)) for simplex in simplices
+                   for w in product(*map(idx.__getitem__, simplex))])
 
 
 def _n_lines(pts, on):
@@ -401,67 +404,75 @@ def _contributing(pts, idx, tied, scale):
     and its apex a nearest point on that side, so the facets and apexes
     that share a (hyperplane, side) are all of its minimal facets and all
     of that side's nearest points.  Each sorted tie gives its (facet, apex)
-    pairs from one position table, and each pair goes under the flat key
-    (g0, g1, g2, t, above): the hyperplane is g . P == t, and the apex is
-    above iff t - g . apex < 0.  A triangle face has N = face_normal and
-    g = N / gcd, leading positive as in HyperplaneKey.  An edge with
-    direction e, leading positive as the sites are sorted, has
-    N = (-e1, e0, 0) and g = N / gcd, whose quarter turn is the LineKey
-    direction, so LineKey.side_of agrees with above.  The facet's squared
-    measure is |N|^2 / ((d - 1)!^2 scale^(2d - 2)), the apex's squared
-    distance dt^2 / (|g|^2 scale^2).
+    pairs from one position table, grouped by facet first.  Each distinct
+    facet then takes its normal N once and its primitive normal g, and its
+    apexes go under the flat key (g0, g1, g2, t, above): the hyperplane is
+    g . P == t, and the apex is above iff t - g . apex < 0.  A triangle face
+    has N = face_normal and g = primitive_vector(N), leading positive as in
+    HyperplaneKey.  An edge with direction e, leading positive as the sites
+    are sorted, has N = face_normal = (-e1, e0) and g the quarter turn of
+    primitive_vector(e), which is the LineKey direction, so LineKey.side_of
+    agrees with above.  The facet's squared measure is
+    |N|^2 / ((d - 1)!^2 scale^(2d - 2)), the apex's squared distance
+    dt^2 / (|g|^2 scale^2).
 
-    Each distinct facet costs one normal, each (facet, apex) pair a dot
-    product and two set insertions, and each hyperplane one pass over the n
-    sites (a normal's later hyperplanes share one bucketing by g . p) plus,
-    in a plane with k > 3 sites, O(k^2) for its lines.  On a shared 2-vCPU
-    host (Python 3.11): 10 to 13 ms per input of 20 lattice points with 244
-    ties and 314 planes (the seed-1 verify3d pool of perfbench), 0.33 s on
-    gen_lattice_slab3d(50) (27 456 ties, 3 378 planes) and 0.47 s on
+    Each tie costs d + 1 facet lookups, each distinct facet one normal, each
+    (facet, apex) pair a dot product, and each (facet, side) one group
+    lookup.  Each hyperplane costs one pass over the n sites (a normal's
+    later hyperplanes share one bucketing by g . p) plus, in a plane with
+    k > 3 sites, O(k^2) for its lines, and its records, which set the floor.
+    On a shared 2-vCPU host (Python 3.11), best of 7: about 7.4 ms per input
+    of 20 lattice points with 244 ties, 422 distinct facets, 314 planes and
+    430 records (the seed-1 verify3d pool of perfbench), 0.19 s on
+    gen_lattice_slab3d(50) (27 456 ties, 3 378 planes) and 0.34 s on
     gen_lattice2d(196) (22 916 ties, 8 830 lines).
     """
     dim = len(tied[0]) - 1
     positions = [(itemgetter(*(j for j in range(dim + 1) if j != k)), k)
                  for k in range(dim + 1)]
-    facets: dict[tuple, tuple] = {}
-    groups: dict[tuple, list] = {}
+    apexes_of: dict[tuple, list[int]] = {}
     for tie in tied:
         tie = sorted(tie)
         for facet_of, k in positions:
-            facet, apex = facet_of(tie), tie[k]
-            hyper = facets.get(facet)
-            if hyper is None:
-                if dim == 3:
-                    a, b, c = facet
-                    normal = face_normal([pts[a], pts[b], pts[c]])[0]
-                    g0, g1, g2 = primitive_vector(normal)
-                else:
-                    (x, y, _), (x2, y2, _) = pts[facet[0]], pts[facet[1]]
-                    normal = (y - y2, x2 - x, 0)
-                    c = math.gcd(y - y2, x2 - x)
-                    g0, g1, g2 = (y - y2) // c, (x2 - x) // c, 0
-                x, y, z = pts[facet[0]]
-                n0, n1, n2 = normal
-                hyper = facets[facet] = (g0, g1, g2, g0 * x + g1 * y + g2 * z,
-                                         n0 * n0 + n1 * n1 + n2 * n2)
-            g0, g1, g2, t, nsq = hyper
+            facet = facet_of(tie)
+            apexes = apexes_of.get(facet)
+            if apexes is None:
+                apexes_of[facet] = [tie[k]]
+            else:
+                apexes.append(tie[k])
+    sites = pts if dim == 3 else [p[:2] for p in pts]  # in face_normal's dimension
+    groups: dict[tuple, list] = {}
+    for facet, apexes in apexes_of.items():
+        normal = face_normal(list(map(sites.__getitem__, facet)))[0]
+        if dim == 3:
+            g0, g1, g2 = primitive_vector(normal)
+        else:
+            e0, e1 = primitive_vector((normal[1], -normal[0]))
+            g0, g1, g2 = -e1, e0, 0
+        x, y, z = pts[facet[0]]
+        t = g0 * x + g1 * y + g2 * z
+        # the apexes on one side are all nearest, so they share their dt
+        sides: dict[int, list[int]] = {}
+        for apex in apexes:
             x, y, z = pts[apex]
-            dt = t - g0 * x - g1 * y - g2 * z
+            sides.setdefault(t - g0 * x - g1 * y - g2 * z, []).append(apex)
+        for dt, nearest in sides.items():
             key = (g0, g1, g2, t, dt < 0)
             group = groups.get(key)
             if group is None:
-                groups[key] = [{facet}, {apex}, dt, nsq]
+                groups[key] = [[facet], set(nearest), dt, normal]
             else:
-                group[0].add(facet)
-                group[1].add(apex)
+                group[0].append(facet)
+                group[1].update(nearest)
     measure_den = math.factorial(dim - 1) ** 2 * scale ** (2 * dim - 2)
     record = SlabRecord if dim == 3 else LineSideRecord
+    single = len(pts) == sum(map(len, idx))
     dots_of = hyperplane = None
     contrib = []
     # a 2D key sorts by the direction (g1, -g0) of its line
     for key in sorted(groups, key=None if dim == 3 else lambda key: (key[1], -key[0]) + key[3:]):
         g0, g1, g2, t, above = key
-        simplices, apexes, dt, nsq = groups[key]
+        simplices, apexes, dt, normal = groups[key]
         gg = g0 * g0 + g1 * g1 + g2 * g2
         if hyperplane != key[:4]:
             hyperplane = key[:4]
@@ -474,21 +485,23 @@ def _contributing(pts, idx, tied, scale):
                     for s, (x, y, z) in enumerate(pts):
                         on_plane.setdefault(g0 * x + g1 * y + g2 * z, []).append(s)
                 on = on_plane[t]
-            incident = tuple(sorted(i for s in on for i in idx[s]))
-            wit = tuple(_expand(simplices, idx))
-            measure = Fraction(nsq, measure_den)
+            incident = tuple(sorted([i for s in on for i in idx[s]]))
+            wit = tuple(_expand(simplices, idx, single))
+            measure = Fraction(sum(map(mul, normal, normal)), measure_den)
             if dim == 3:
+                # g is primitive, so (scale g, t) reduces by gcd(scale, t)
+                h = math.gcd(scale, t)
                 summary = PlaneSummary(
-                    key=integer_hyperplane_key((g0, g1, g2), t, scale), incident=incident,
-                    n_points=len(incident), n_lines=_n_lines(pts, on), min_area_sq=measure,
-                    count=len(wit), witnesses=wit)
+                    key=HyperplaneKey((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h),
+                    incident=incident, n_points=len(incident), n_lines=_n_lines(pts, on),
+                    min_area_sq=measure, count=len(wit), witnesses=wit)
             else:  # the scaled line passes nearest the origin at t * g / |g|^2
                 summary = LineSummary(
                     key=LineKey(direction=(g1, -g0), anchor=(Fraction(t * g0, gg * scale),
                                                              Fraction(t * g1, gg * scale))),
                     incident=incident, n_points=len(incident), min_length_sq=measure,
                     count=len(wit), witnesses=wit)
-        nearest = tuple(sorted(i for s in apexes for i in idx[s]))
+        nearest = tuple(sorted([i for s in apexes for i in idx[s]]))
         contrib.append((summary, record(summary.key, "above" if above else "below",
                                         Fraction(dt * dt, gg * scale ** 2), len(nearest),
                                         nearest)))
@@ -516,7 +529,8 @@ def _minimal(ps, dim, witnesses):
     measure = Fraction(det, math.factorial(dim) * scale ** dim)
     if not witnesses:
         return measure, count, n_flats, None, None
-    return measure, count, n_flats, tuple(_expand(ties, idx)), _contributing(pts, idx, ties, scale)
+    wit = tuple(_expand(ties, idx, len(pts) == len(ps)))
+    return measure, count, n_flats, wit, _contributing(pts, idx, ties, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +611,7 @@ def min_area_triangles_in_plane(ps: PointSet,
         min_area_sq=Fraction(cross * cross * sum(c * c for c in normal),
                              4 * normal[k] ** 2 * scale ** 4),
         count=count,
-        witnesses=tuple(_expand(tris, sites)),
+        witnesses=tuple(_expand(tris, sites, len(view) == len(idx))),
     )
 
 

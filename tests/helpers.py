@@ -42,3 +42,10 @@ def random_spanning(n: int, d: int, seed: int, bound: int = 8) -> PointSet:
 def scale_points(ps: PointSet, factor: Fraction) -> PointSet:
     return PointSet([[c * factor for c in p] for p in ps.points], dim=ps.dim,
                     allow_duplicates=True)
+
+
+# mixed prime denominators: the scale is 2*3*5*7, and the plane offsets on
+# the scaled points share factors with it
+PRIME_DENOMINATORS_3D = PointSet([
+    ("1/2", 0, 0), (0, "1/3", 0), (0, 0, "1/5"), ("1/7", "1/7", 1),
+    (1, "2/3", "2/5"), ("3/2", "1/5", "4/7"), (2, 1, "1/3"), ("5/7", "3/2", "3/5")])

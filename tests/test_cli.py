@@ -13,9 +13,12 @@ import pytest
 import simplexvol
 import simplexvol.bruteforce as bruteforce
 import simplexvol.charging as charging
-from simplexvol import gen_lattice_slab3d, gen_random_rational, parse_point_file
+from simplexvol import (gen_lattice_slab3d, gen_min_tetra_prism, gen_random_rational,
+                        load_point_file, min_volume_tetrahedra, parse_point_file,
+                        write_point_file)
 from simplexvol.bruteforce import MinSimplexResult
-from simplexvol.cli import _build_parser, _git_revision, main
+from simplexvol.cli import BENCH_FAMILIES, _build_parser, _git_revision, main
+from helpers import PRIME_DENOMINATORS_3D
 
 
 def run(capsys, *argv):
@@ -163,6 +166,29 @@ def test_minvol_deterministic_output(tmp_path, capsys):
     assert doc1 == doc2
 
 
+@pytest.mark.parametrize("points, volume, volume_sq", [
+    (PRIME_DENOMINATORS_3D, "1/540", "1/291600"),
+    (gen_min_tetra_prism(16).points, "1/768", "1/589824"),
+    ([(0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6), (6, 6, 6)], "36", "1296"),
+], ids=["prime-denominators", "prism16", "integer-volume"])
+def test_minvol_contributing_json_matches_the_library(tmp_path, capsys, points, volume, volume_sq):
+    path = str(tmp_path / "points.txt")
+    write_point_file(path, simplexvol.PointSet(points), [])
+    code, out, _ = run(capsys, "minvol", path, "--report-witnesses")
+    assert code == 0
+    results = report_of(out)["results"]
+    assert (results["min_volume"], results["min_volume_sq"]) == (volume, volume_sq)
+    report = min_volume_tetrahedra(load_point_file(path))
+    assert results["witnesses"] == [list(w) for w in report.witnesses]
+    # the records in the library's order, with every rational parsed back exactly
+    assert [(rec["plane"]["normal"], rec["plane"]["offset"], rec["side"], rec["n_points"],
+             rec["n_lines"], F(rec["min_area_sq"]), rec["min_area_count"], F(rec["dist_sq"]),
+             rec["nearest_count"]) for rec in results["contributing"]] == [
+        (list(summary.key.normal), summary.key.offset, slab.side, summary.n_points,
+         summary.n_lines, summary.min_area_sq, summary.count, slab.dist_sq, slab.count)
+        for summary, slab in report.contributing]
+
+
 def test_minarea(tmp_path, capsys):
     path = write_points(tmp_path, "sq.txt", "dim 2\n0 0\n1 0\n0 1\n1 1\n")
     code, out, _ = run(capsys, "minarea", path, "--oracle", "--report-witnesses")
@@ -297,6 +323,23 @@ def test_bench_lattice_slab3d(capsys):
     assert doc["results"]["counts"] == [
         bruteforce.min_volume_simplices(gen_lattice_slab3d(n), 3).count for n in (8, 18)]
     assert None not in doc["results"]["oracle_seconds"]
+
+
+@pytest.mark.parametrize("flag", [[], ["--witnesses"]], ids=["scan", "witnesses"])
+def test_bench_witnesses_flag_reaches_the_reporter(capsys, monkeypatch, flag):
+    build, reporter, dim = BENCH_FAMILIES["lattice_slab3d"]
+    seen = []
+
+    def spy(ps, witnesses):
+        seen.append(witnesses)
+        return reporter(ps, witnesses=witnesses)
+
+    monkeypatch.setitem(BENCH_FAMILIES, "lattice_slab3d", (build, spy, dim))
+    code, out, _ = run(capsys, "bench", "--family", "lattice_slab3d", "--sizes", "8,18",
+                       "--repeat", "2", *flag)
+    assert code == 0
+    assert seen == [bool(flag)] * 4
+    assert report_of(out)["parameters"]["witnesses"] is bool(flag)
 
 
 def test_bench_lattice_slab3d_rejects_bad_size(capsys):

@@ -2,6 +2,7 @@
 reporters against the brute-force oracle, and the counting identities."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -31,9 +32,9 @@ from simplexvol import (
     spanned_planes,
     squared_distance_point_plane,
 )
-from simplexvol.exact import integer_coordinates
+from simplexvol.exact import integer_coordinates, primitive_vector
 from simplexvol.reporter import _scan
-from helpers import random_spanning
+from helpers import PRIME_DENOMINATORS_3D, random_spanning
 
 LINE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]
 
@@ -241,20 +242,21 @@ class TestEmptySlabs:
         assert above is None and below is None
 
 
-# mixed prime denominators: the scale is 2*3*5*7, and the plane offsets on
-# the scaled points share factors with it
-PRIME_DENOMINATORS_3D = PointSet([
-    (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5)), (F(1, 7), F(1, 7), 1),
-    (1, F(2, 3), F(2, 5)), (F(3, 2), F(1, 5), F(4, 7)), (2, 1, F(1, 3)), (F(5, 7), F(3, 2), F(3, 5))])
 DUPLICATES_3D = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (2, 3, 4)],
                          allow_duplicates=True)
 
 
 def check_contributing_3d(ps):
     """Each contributing (plane, slab) pair equals the plane's own in-plane
-    scan and the matching side of its empty slabs, and the pairs are the
-    (plane, side) of the faces of the oracle's witnesses."""
+    scan and the matching side of its empty slabs, the pairs are the
+    (plane, side) of the faces of the oracle's witnesses, and they come in
+    the order the CLI prints them: by the primitive normal g = N / gcd(N) of
+    the key (N, o), then by o / gcd(N), "below" first.  On integer sets that
+    is the order of (N, o)."""
     report = min_volume_tetrahedra(ps)
+    order = [(primitive_vector(s.key.normal), F(s.key.offset, math.gcd(*s.key.normal)),
+              slab.side == "above") for s, slab in report.contributing]
+    assert order == sorted(set(order))
     for summary, slab in report.contributing:
         assert summary == min_area_triangles_in_plane(ps, summary.incident)
         assert slab == dict(zip(("above", "below"), empty_slabs(ps, summary.key)))[slab.side]
