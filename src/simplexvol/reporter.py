@@ -174,12 +174,24 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
     then differ by more than 1 / scale_k, and vertical must be below every
     other key.
 
-    Only the shortest W of a class can be in a minimal pair.  The classes, in
-    angle order, are paired shortest first with their neighbours up to a
-    right angle on each side, and each is deleted once paired.  Past a
-    neighbour z at angle theta, |W_x x W_z|^2 = r_x r_z sin^2 theta
-    >= r_x^2 sin^2 theta (r_z >= r_x) only grows, so a side stops once that
-    bound exceeds the running minimum.  Memory is O(len(view)) plus the ties.
+    Only the shortest W of a class can be in a minimal pair.  The classes are
+    put in angle order, with r = |W|^2 and bound = best |u_k|.  First a
+    neighbour-gap certificate: if every two classes p, q adjacent in the
+    cyclic angle order have, with cr = W_p x W_q,
+
+        cr^2 min(r_p, r_q) > bound^2 max(r_p, r_q),
+
+    no pair reaches bound and none is walked.  A pair x, z with r_x <= r_z
+    spans at least the angle theta from x to its neighbour y on the side
+    where the pair's angle is at most a right angle, so
+    |W_x x W_z| >= r_x sin theta >= min(r_x, r_y) sin theta; as
+    cr^2 = r_x r_y sin^2 theta for p, q = x, y, the inequality says that
+    the last term exceeds bound.  Otherwise the classes are paired shortest
+    first with their neighbours up to a right angle on each side, and each
+    is deleted once paired.  Past a neighbour z at angle theta,
+    |W_x x W_z|^2 = r_x r_z sin^2 theta >= r_x^2 sin^2 theta (r_z >= r_x)
+    only grows, so a side stops once that bound exceeds the running
+    minimum.  Memory is O(len(view)) plus the ties.
     """
     ui, uj, uk = u
     ai, aj, ak = view[a]
@@ -223,11 +235,21 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
     n_cls = len(classes)
     if n_cls < 2:
         return best, count, ties, n_cls, multi, axis
-    # the classes in angle order, linked in a cycle
-    recs = [classes[key] for key in sorted(classes)]
+    recs = [classes[key] for key in sorted(classes)]  # in angle order
+    bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
+    bound_sq = bound * bound
+    # the neighbour-gap certificate: no pair reaches bound
+    rp, px, py, _, _ = recs[-1]
+    for rq, qx, qy, _, _ in recs:
+        cr = px * qy - py * qx
+        if cr * cr * (rp if rp < rq else rq) <= bound_sq * (rq if rp < rq else rp):
+            break
+        rp, px, py = rq, qx, qy
+    else:
+        return best, count, ties, n_cls, multi, axis
+    # the classes linked in a cycle
     nxt = list(range(1, n_cls)) + [0]
     prv = [n_cls - 1] + list(range(n_cls - 1))
-    bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
     for x in sorted(range(n_cls), key=[rec[0] for rec in recs].__getitem__):
         rx, x0, x1, nx, sx = recs[x]
         for link, ahead in ((nxt, True), (prv, False)):
@@ -245,10 +267,11 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
                     least = cr // size
                     if least < best:
                         best, bound, count, ties = least, least * size, 0, []
+                        bound_sq = bound * bound
                     count += nx * nz
                     if collect:
                         ties.append((sx, sz))
-                elif rx * cr * cr > bound * bound * rz:
+                elif rx * cr * cr > bound_sq * rz:
                     break
                 z = link[z]
         nxt[prv[x]] = nxt[x]
@@ -284,6 +307,13 @@ def _scan(pts, weight, dim, collect):
     In 3D the face is a < b and u = b - a, and the shortest W of a class are
     the sites of its plane nearest to line ab.  Memory is O(n) per face,
     plus the ties.
+
+    In 3D a face (a, z) is skipped when a site b lies on the open segment az
+    and two or more later sites lie on line az: these z are all but the last
+    two of the later sites on line ab at the face (a, b).  No minimal pair is
+    lost, as the face (b, z) scales every det of (a, z) by
+    |z - b| / |z - a| < 1, and no flat is lost, as a face with two or more
+    later sites on its line adds none to n_flats (below).
 
     In 3D, with Z the later sites on line ab and M_P the members of class P,
 
@@ -321,6 +351,10 @@ def _scan(pts, weight, dim, collect):
     for face in combinations(range(m - 1), dim - 1):
         a, b = face[0], face[-1]
         if dim == 3:
+            if b == a + 1:
+                pruned = set()  # the sites z > b whose face (a, z) is skipped
+            elif b in pruned:
+                continue
             x, y, z = pts[a]
             dx, dy, dz = pts[b]
             dx, dy, dz = abs(dx - x), abs(dy - y), abs(dz - z)
@@ -335,7 +369,9 @@ def _scan(pts, weight, dim, collect):
             vertical = -mag * scale_k - 1
         least, pairs, tied, n_cls, multi, axis = _window_pairs(
             view, a, u, b + 1, weight, scale_k, vertical, best, collect)
-        if len(axis) < 2:
+        if len(axis) > 2:
+            pruned.update(axis[:-2])
+        elif len(axis) < 2:
             n_flats += (n_cls - len(multi)) * (-1 if axis else 1)
             if dim == 3:
                 for members in multi.values():

@@ -17,6 +17,7 @@ from simplexvol import (
     gen_distinct_volume_lines,
     gen_min_ksimplex_lines,
     gen_min_tetra_prism,
+    gen_random_rational,
     min_area_triangles,
     min_volume_simplices,
     min_volume_tetrahedra,
@@ -207,3 +208,22 @@ def test_criterion_11_distinct_volume_diagnostic():
               f"(distinct volumes below floor((n-1)/3)): {findings}")
     _report(11, "distinct-volume diagnostic", True,
             f"{len(findings)} findings in 25 sets (informational)")
+
+
+def test_criterion_12_general_position_scaling():
+    # random3d of `simplexvol bench`: every direction spans one plane, best of 2
+    sizes = [40, 80, 160]
+    seconds = []
+    for n in sizes:
+        ps = gen_random_rational(n, 3, seed=0, bound=1000)
+        best = math.inf
+        for _ in range(2):
+            start = time.perf_counter()
+            report = min_volume_tetrahedra(ps, witnesses=False)
+            best = min(best, time.perf_counter() - start)
+        seconds.append(best)
+        assert report.count >= 1
+    slope = _loglog_slope(sizes, seconds)
+    times = ", ".join(f"n={n}: {t:.2f}s" for n, t in zip(sizes, seconds))
+    _report(12, "general-position scaling", slope <= 3.4,
+            f"log-log slope {slope:.2f} ({times})")

@@ -74,7 +74,8 @@ def tie_heavy_2d(draw):
 @st.composite
 def tie_heavy_3d(draw):
     """Small 3D sets full of ties: lattice subsets, points at equal gaps on
-    two to four parallel lines (vertical like the prism, or slanted), or
+    two to four parallel lines (vertical like the prism, or slanted), up to
+    six on a line, or
     points on two or three parallel planes, with duplicates.  A shear and an
     axis scaling by primes then mix the denominators and keep every tie."""
     kind = draw(st.sampled_from(["lattice", "lines", "planes"]))
@@ -86,7 +87,7 @@ def tie_heavy_3d(draw):
         pts = []
         for _ in range(draw(st.integers(2, 4))):
             anchor = draw(st.tuples(*[st.integers(-2, 2)] * 3))
-            ts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4, unique=True))
+            ts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6, unique=True))
             pts += [tuple(a + t * c for a, c in zip(anchor, d)) for t in ts]
     else:
         xy = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -241,6 +242,21 @@ class TestEmptySlabs:
         above, below = empty_slabs(ps, plane_key(ps, (0, 1, 2)))
         assert above is None and below is None
 
+
+# runs of five or more collinear sites, where a face (a, z) with a site on
+# the open segment az and two later sites on its line is skipped: six per
+# line in the prism and in the three lines, and three skew lines of six or
+# seven unequally spaced points with denominators 2, 3 and 5 and one
+# duplicate
+COLLINEAR_RUNS_3D = [
+    gen_min_tetra_prism(24).points,
+    gen_min_ksimplex_lines(18, 3, 3).points,
+    PointSet([(F(t, 2), 0, 0) for t in (0, 1, 3, 4, 7, 9)]
+             + [(0, F(t, 3), 1) for t in (-2, 0, 1, 4, 5, 8, 9)]
+             + [(1, 2, F(t, 5)) for t in (0, 2, 3, 7, 8, 12)]
+             + [(F(3, 2), 0, 0)], allow_duplicates=True),
+]
+COLLINEAR_RUN_IDS = ["prism24", "klines18", "skew-lines"]
 
 DUPLICATES_3D = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (2, 3, 4)],
                          allow_duplicates=True)
@@ -438,13 +454,23 @@ class TestMinVolumeTetrahedra:
         # and the later sites of z == 0 lie on x == 2
         PointSet([(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 1, 2)]),
         gen_min_tetra_prism(16).points,
+        *COLLINEAR_RUNS_3D,
         # general position: every class has one member
         *(gen_random_rational(20, 3, seed, bound=1000) for seed in range(3)),
     ], ids=["sites-on-ab", "lines-through-a", "lines-through-a-and-axis", "line-misses-b",
-            "line-through-axis-site", "prism16", "random0", "random1", "random2"])
+            "line-through-axis-site", "prism16", *COLLINEAR_RUN_IDS,
+            "random0", "random1", "random2"])
     def test_n_planes_counts_spanned_planes(self, ps):
         report = min_volume_tetrahedra(ps, witnesses=False)
         assert report.n_planes == len(spanned_planes(ps))
+
+    @pytest.mark.parametrize("ps", COLLINEAR_RUNS_3D, ids=COLLINEAR_RUN_IDS)
+    def test_matches_oracle_on_collinear_runs(self, ps):
+        report = min_volume_tetrahedra(ps)
+        oracle = min_volume_simplices(ps, 3)
+        assert report.min_volume_sq == oracle.min_squared_volume
+        assert report.count == oracle.count
+        assert report.witnesses == tuple(sorted(oracle.witnesses))
 
     def test_working_memory_grows_linearly(self):
         # The scan keeps O(n) per pair of points; a set of all plane normals
