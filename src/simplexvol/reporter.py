@@ -26,12 +26,13 @@ minimum-area triangle once per side and divides by three.  Candidate measures
 are compared exactly as integer cross-products; reported values are exact
 rationals.
 
-On random points the scans grew as about n^2.05 (2D, n = 200..800) and n^3.0
-(3D, n = 40..160: 0.035 to 2.0 s on a shared 2-vCPU host, Python 3.11); when
-the running minimum does not narrow the windows they take O(n^3) and O(n^4).
-The guaranteed O(n^2) minimum-area triangle through the dual line
-arrangement (Edelsbrunner, O'Rourke and Seidel, SIAM J. Comput. 1986) is not
-implemented.
+On random points most faces are settled without pairing, by the
+neighbour-gap certificate of _window_pairs, and the scans grew as about
+n^2.0 (2D, n = 200..800) and n^2.9 (3D, n = 40..160: 0.023 to 1.3 s on a
+shared 2-vCPU host, Python 3.11); when the running minimum does not narrow
+the windows they take O(n^3) and O(n^4).  The guaranteed O(n^2)
+minimum-area triangle through the dual line arrangement (Edelsbrunner,
+O'Rourke and Seidel, SIAM J. Comput. 1986) is not implemented.
 """
 
 from __future__ import annotations
@@ -688,8 +689,8 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
     |b - a| times a projected triangle's area over 3: nearest-to-the-edge
     points of each plane through ab are paired in angular windows that the
     running minimum bounds.  Every tetrahedron is found once, at its two
-    smallest points.  On random points the time grew as about n^3.0
-    (n = 40..160, 0.035 to 2.0 s); the worst case, windows that the minimum
+    smallest points.  On random points the time grew as about n^2.9
+    (n = 40..160, 0.023 to 1.3 s); the worst case, windows that the minimum
     does not narrow, is O(n^4).  With witnesses=False only the exact
     minimum, the exact count and the number of spanned planes are computed,
     in O(n) memory per pair; otherwise the witness tetrahedra and the
@@ -707,7 +708,7 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
     later points c: the points of each line through a nearest to a are
     paired in angular windows that the running minimum bounds, and every
     triangle is found once, at its smallest point.  On random points the
-    time grew as about n^2.05 (n = 200..800); the worst case, windows that
+    time grew as about n^2.0 (n = 200..800); the worst case, windows that
     the minimum does not narrow, is O(n^3).  Working memory is O(n); with
     witnesses the tied triangles are kept too, and the witness triangles and
     the contributing (line, side) pairs are materialized from them.

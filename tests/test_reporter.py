@@ -73,11 +73,11 @@ def tie_heavy_2d(draw):
 
 @st.composite
 def tie_heavy_3d(draw):
-    """Small 3D sets full of ties: lattice subsets, points at equal gaps on
-    two to four parallel lines (vertical like the prism, or slanted), up to
-    six on a line, or
-    points on two or three parallel planes, with duplicates.  A shear and an
-    axis scaling by primes then mix the denominators and keep every tie."""
+    """Small 3D sets full of ties: lattice subsets, up to six points at equal
+    gaps on each of two to four parallel lines (vertical like the prism, or
+    slanted), or points on two or three parallel planes, with duplicates.  A
+    shear and an axis scaling by primes then mix the denominators and keep
+    every tie."""
     kind = draw(st.sampled_from(["lattice", "lines", "planes"]))
     if kind == "lattice":
         coord = st.integers(0, draw(st.integers(1, 2)))
@@ -245,8 +245,8 @@ class TestEmptySlabs:
 
 # runs of five or more collinear sites, where a face (a, z) with a site on
 # the open segment az and two later sites on its line is skipped: six per
-# line in the prism and in the three lines, and three skew lines of six or
-# seven unequally spaced points with denominators 2, 3 and 5 and one
+# line in the prism and in the three parallel lines, and three skew lines of
+# six or seven unequally spaced points with denominators 2, 3 and 5 and one
 # duplicate
 COLLINEAR_RUNS_3D = [
     gen_min_tetra_prism(24).points,
