@@ -24,7 +24,7 @@ from .constructions import FAMILIES, gen_lattice_slab3d, gen_min_tetra_prism, ge
 from .distinct import best_common_face
 from .exact import AllDegenerate, DegenerateInput, PointSet
 from .pointfile import content_digest, load_point_file, write_point_file
-from .reporter import min_area_triangles, min_volume_tetrahedra
+from .reporter import _minimal, _n_lines, _rows, min_area_triangles, min_volume_tetrahedra
 
 SCHEMA_VERSION = 3
 ORACLE_SIZE_LIMIT = 30  # brute force above this is ~n^4 and is refused
@@ -55,16 +55,57 @@ def _document(command: str, ps: PointSet | None, parameters: dict,
     }
 
 
-def _plane_json(key) -> dict:
-    return {"normal": key.normal, "offset": key.offset}
+def _contributing_json(pts, idx, tied, scale) -> list[dict]:
+    """The contributing records of min_volume_tetrahedra as JSON objects,
+    built from the reporter's rows with no record objects: pts are the
+    solved sites, idx[s] the input indices at site s and tied the tied site
+    simplices.  Each count sums the products of the site weights, which is
+    the length of a site list when every site holds one input point, and
+    each exact string is made once per distinct value."""
+    weight = [len(i) for i in idx]
+    single = len(weight) == sum(weight)
+    area_den, dist_den = 4 * scale ** 4, scale * scale
+    strings: dict[tuple[int, int], str] = {}
+
+    def exact(num, den):
+        text = strings.get((num, den))
+        if text is None:
+            text = strings[num, den] = _rat(Fraction(num, den))
+        return text
+
+    out = []
+    hyperplane = None
+    for g, t, above, on, facets, apexes, nn, dt_sq in _rows(pts, tied):
+        g0, g1, g2 = g
+        if hyperplane != (g, t):
+            hyperplane = g, t
+            # g is primitive, so (scale g, t) reduces by gcd(scale, t)
+            h = math.gcd(scale, t)
+            plane = {"normal": (scale * g0 // h, scale * g1 // h, scale * g2 // h),
+                     "offset": t // h}
+            n_points = len(on) if single else sum(map(weight.__getitem__, on))
+            n_lines, area = _n_lines(pts, on), exact(nn, area_den)
+            count = len(facets) if single else sum(
+                [math.prod(map(weight.__getitem__, facet)) for facet in facets])
+        out.append({
+            "plane": plane,
+            "n_points": n_points,
+            "n_lines": n_lines,
+            "min_area_sq": area,
+            "min_area_count": count,
+            "side": "above" if above else "below",
+            "dist_sq": exact(dt_sq, (g0 * g0 + g1 * g1 + g2 * g2) * dist_den),
+            "nearest_count": len(apexes) if single else sum(map(weight.__getitem__, apexes)),
+        })
+    return out
 
 
-def _oracle_check(ps: PointSet, k: int, min_sq, report) -> dict:
+def _oracle_check(ps: PointSet, k: int, min_sq, count, witnesses) -> dict:
     """Compare a reporter's minimum, count and witnesses with the brute force."""
     oracle = bruteforce.min_volume_simplices(ps, k)
     return {
-        "match": (min_sq == oracle.min_squared_volume and report.count == oracle.count
-                  and tuple(report.witnesses) == tuple(oracle.witnesses)),
+        "match": (min_sq == oracle.min_squared_volume and count == oracle.count
+                  and tuple(witnesses) == tuple(oracle.witnesses)),
         "min_squared_volume": _rat(oracle.min_squared_volume),
         "count": oracle.count,
     }
@@ -115,36 +156,32 @@ def cmd_minvol(args) -> int:
     ps = load_point_file(args.input)
     if ps.dim != 3:
         raise ValueError(f"minvol needs a 3D point file, got dim {ps.dim}")
-    collect = args.report_witnesses or args.oracle or args.check_charging
     start = time.perf_counter()
-    report = min_volume_tetrahedra(ps, witnesses=collect)
+    # Runs without witnesses call the public reporter, the name through which
+    # perfbench traces the reporter; witness runs build the contributing
+    # records only when they print them, and then straight as JSON.
+    if args.report_witnesses or args.oracle or args.check_charging:
+        vol, count, n_planes, wit, solved = _minimal(ps, 3, True)
+        if args.report_witnesses:
+            contributing = _contributing_json(*solved)
+    else:
+        report = min_volume_tetrahedra(ps, witnesses=False)
+        vol, count, n_planes = report.min_volume, report.count, report.n_planes
     elapsed = time.perf_counter() - start
     results = {
-        "min_volume": _rat(report.min_volume),
-        "min_volume_sq": _rat(report.min_volume_sq),
-        "count": report.count,
-        "sum_face_products": report.sum_face_products,
-        "n_planes": report.n_planes,
+        "min_volume": _rat(vol),
+        "min_volume_sq": _rat(vol * vol),
+        "count": count,
+        "sum_face_products": 4 * count,
+        "n_planes": n_planes,
     }
     if args.report_witnesses:
-        results["witnesses"] = report.witnesses  # tuples encode as JSON arrays
-        results["contributing"] = [
-            {
-                "plane": _plane_json(summary.key),
-                "n_points": summary.n_points,
-                "n_lines": summary.n_lines,
-                "min_area_sq": _rat(summary.min_area_sq),
-                "min_area_count": summary.count,
-                "side": slab.side,
-                "dist_sq": _rat(slab.dist_sq),
-                "nearest_count": slab.count,
-            }
-            for summary, slab in report.contributing
-        ]
+        results["witnesses"] = wit  # tuples encode as JSON arrays
+        results["contributing"] = contributing
     if args.oracle:
-        results["oracle"] = _oracle_check(ps, 3, report.min_volume_sq, report)
+        results["oracle"] = _oracle_check(ps, 3, vol * vol, count, wit)
     if args.check_charging:
-        check = verify_charging(ps, witnesses=report.witnesses)
+        check = verify_charging(ps, witnesses=wit)
         results["charging"] = {
             "max_per_face": check.max_per_face,
             "max_per_face_side": check.max_per_face_side,
@@ -162,21 +199,24 @@ def cmd_minarea(args) -> int:
     ps = load_point_file(args.input)
     if ps.dim != 2:
         raise ValueError(f"minarea needs a 2D point file, got dim {ps.dim}")
-    collect = args.report_witnesses or args.oracle
     start = time.perf_counter()
-    report = min_area_triangles(ps, witnesses=collect)
+    if args.report_witnesses or args.oracle:  # as in minvol; minarea prints no records
+        area, count, n_lines, wit, _ = _minimal(ps, 2, True)
+    else:
+        report = min_area_triangles(ps, witnesses=False)
+        area, count, n_lines = report.min_area, report.count, report.n_lines
     elapsed = time.perf_counter() - start
     results = {
-        "min_area": _rat(report.min_area),
-        "min_area_sq": _rat(report.min_area_sq),
-        "count": report.count,
-        "sum_side_products": report.sum_side_products,
-        "n_lines": report.n_lines,
+        "min_area": _rat(area),
+        "min_area_sq": _rat(area * area),
+        "count": count,
+        "sum_side_products": 3 * count,
+        "n_lines": n_lines,
     }
     if args.report_witnesses:
-        results["witnesses"] = report.witnesses  # tuples encode as JSON arrays
+        results["witnesses"] = wit  # tuples encode as JSON arrays
     if args.oracle:
-        results["oracle"] = _oracle_check(ps, 2, report.min_area_sq, report)
+        results["oracle"] = _oracle_check(ps, 2, area * area, count, wit)
     _emit(_document("minarea", ps, {
         "oracle": args.oracle,
         "report_witnesses": args.report_witnesses,

@@ -384,9 +384,6 @@ def integer_coordinates(ps: PointSet) -> tuple[list[tuple[int, ...]], int]:
     ones, so argmins, counts and witness sets are unchanged; callers divide
     measures back out.  All hot enumeration loops run on these plain ints.
     """
-    scale = 1
-    for pt in ps.points:
-        for c in pt:
-            scale = math.lcm(scale, c.denominator)
-    coords = [tuple(int(c * scale) for c in pt) for pt in ps.points]
+    scale = math.lcm(*[c.denominator for pt in ps.points for c in pt])
+    coords = [tuple([c.numerator * (scale // c.denominator) for c in pt]) for pt in ps.points]
     return coords, scale

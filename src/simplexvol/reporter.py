@@ -430,39 +430,36 @@ def _n_lines(pts, on):
     return n_lines
 
 
-def _contributing(pts, idx, tied, scale):
-    """(summary, side record) pairs of the tied site simplices, one per
-    (hyperplane, side) of their facets, "below" first: (PlaneSummary,
-    SlabRecord) by key for tetrahedra of the sorted (x, y, z) sites, and
-    (LineSummary, LineSideRecord) by direction, then moment, for triangles
-    of the sorted sites (x, y, 0).
+def _rows(pts, tied):
+    """The (hyperplane, side) pairs of the facets of the tied site
+    simplices, in the order of the reports, as rows
+    (g, t, above, on, facets, apexes, nn, dt_sq) of integers and site lists:
+    the hyperplane g . P == t of the sorted (x, y, z) sites pts, with g a
+    primitive normal (g2 == 0 for triangles of the sites (x, y, 0)), the
+    sites on it, its minimal facets, that side's nearest sites, |N|^2 of the
+    facets' normal N and the squared offset dt^2 of the nearest sites.  The
+    two rows of one hyperplane share on and facets.  3D rows come by (g, t),
+    2D rows by the line's direction (g1, -g0), then t; "below" first.
 
     Every facet of a minimal simplex is a minimal facet of its hyperplane
-    and its apex a nearest point on that side, so the facets and apexes
-    that share a (hyperplane, side) are all of its minimal facets and all
-    of that side's nearest points.  Each sorted tie gives its (facet, apex)
-    pairs from one position table, grouped by facet first.  Each distinct
-    facet then takes its normal N once and its primitive normal g, and its
-    apexes go under the flat key (g0, g1, g2, t, above): the hyperplane is
-    g . P == t, and the apex is above iff t - g . apex < 0.  A triangle face
+    and its apex a nearest point on that side, and every minimal facet with
+    a nearest point on a side that has a tie is a tie, so the facets of a
+    hyperplane are all of its minimal facets, on either side, and the apexes
+    on a side all of that side's nearest points.  Each sorted tie gives its
+    (facet, apex) pairs from one position table, grouped by facet first.
+    Each distinct facet then takes its normal N once and its primitive
+    normal g, and goes under the key (g0, g1, g2, t) with its apexes split
+    by side: the apex is above iff dt = t - g . apex < 0.  A triangle face
     has N = face_normal and g = primitive_vector(N), leading positive as in
     HyperplaneKey.  An edge with direction e, leading positive as the sites
     are sorted, has N = face_normal = (-e1, e0) and g the quarter turn of
     primitive_vector(e), which is the LineKey direction, so LineKey.side_of
-    agrees with above.  The facet's squared measure is
-    |N|^2 / ((d - 1)!^2 scale^(2d - 2)), the apex's squared distance
-    dt^2 / (|g|^2 scale^2).
+    agrees with above.
 
-    Each tie costs d + 1 facet lookups, each distinct facet one normal, each
-    (facet, apex) pair a dot product, and each (facet, side) one group
-    lookup.  Each hyperplane costs one pass over the n sites (a normal's
-    later hyperplanes share one bucketing by g . p) plus, in a plane with
-    k > 3 sites, O(k^2) for its lines, and its records, which set the floor.
-    On a shared 2-vCPU host (Python 3.11), best of 7: about 7.4 ms per input
-    of 20 lattice points with 244 ties, 422 distinct facets, 314 planes and
-    430 records (the seed-1 verify3d pool of perfbench), 0.19 s on
-    gen_lattice_slab3d(50) (27 456 ties, 3 378 planes) and 0.34 s on
-    gen_lattice2d(196) (22 916 ties, 8 830 lines).
+    Each tie costs d + 1 facet lookups, each distinct facet one normal and
+    one hyperplane lookup, and each (facet, apex) pair a dot product.  Each
+    hyperplane costs one pass over the n sites (a normal's later
+    hyperplanes share one bucketing by g . p).
     """
     dim = len(tied[0]) - 1
     positions = [(itemgetter(*(j for j in range(dim + 1) if j != k)), k)
@@ -478,7 +475,7 @@ def _contributing(pts, idx, tied, scale):
             else:
                 apexes.append(tie[k])
     sites = pts if dim == 3 else [p[:2] for p in pts]  # in face_normal's dimension
-    groups: dict[tuple, list] = {}
+    planes: dict[tuple, list] = {}
     for facet, apexes in apexes_of.items():
         normal = face_normal(list(map(sites.__getitem__, facet)))[0]
         if dim == 3:
@@ -488,67 +485,96 @@ def _contributing(pts, idx, tied, scale):
             g0, g1, g2 = -e1, e0, 0
         x, y, z = pts[facet[0]]
         t = g0 * x + g1 * y + g2 * z
-        # the apexes on one side are all nearest, so they share their dt
-        sides: dict[int, list[int]] = {}
+        plane = planes.get((g0, g1, g2, t))
+        if plane is None:
+            # its facets, a normal N, and per side (below, above) the dt and
+            # the nearest sites, which all share it
+            plane = planes[g0, g1, g2, t] = [[facet], normal, 0, 0, set(), set()]
+        else:
+            plane[0].append(facet)
         for apex in apexes:
             x, y, z = pts[apex]
-            sides.setdefault(t - g0 * x - g1 * y - g2 * z, []).append(apex)
-        for dt, nearest in sides.items():
-            key = (g0, g1, g2, t, dt < 0)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [[facet], set(nearest), dt, normal]
-            else:
-                group[0].append(facet)
-                group[1].update(nearest)
+            dt = t - g0 * x - g1 * y - g2 * z
+            plane[2 + (dt < 0)] = dt
+            plane[4 + (dt < 0)].add(apex)
+    dots_of = None
+    # a 2D key sorts by the direction (g1, -g0) of its line
+    for key in sorted(planes, key=None if dim == 3 else lambda key: (key[1], -key[0], key[3])):
+        g0, g1, g2, t = key
+        # the sorted keys bring each normal's hyperplanes together
+        if dots_of != key[:3]:
+            dots_of, on_plane = key[:3], {}
+            on = [s for s, (x, y, z) in enumerate(pts) if g0 * x + g1 * y + g2 * z == t]
+        else:
+            if not on_plane:
+                for s, (x, y, z) in enumerate(pts):
+                    on_plane.setdefault(g0 * x + g1 * y + g2 * z, []).append(s)
+            on = on_plane[t]
+        facets, normal, dt_below, dt_above, below, above = planes[key]
+        nn = sum(map(mul, normal, normal))
+        if below:
+            yield dots_of, t, False, on, facets, below, nn, dt_below * dt_below
+        if above:
+            yield dots_of, t, True, on, facets, above, nn, dt_above * dt_above
+
+
+def _contributing(pts, idx, tied, scale):
+    """(summary, side record) pairs of the tied site simplices, one per row
+    of _rows: (PlaneSummary, SlabRecord) for tetrahedra and
+    (LineSummary, LineSideRecord) for triangles, idx[s] the input indices at
+    site s.  The facet's squared measure is
+    |N|^2 / ((d - 1)!^2 scale^(2d - 2)), the apex's squared distance
+    dt^2 / (|g|^2 scale^2).
+
+    Besides the rows, each hyperplane costs its incident and witness lists
+    and, in a plane with k > 3 sites, O(k^2) for its lines, and each record
+    its nearest list.  On a shared 2-vCPU host (Python 3.11), best of 7:
+    about 6.0 ms per input of 20 lattice points with 244 ties, 422 distinct
+    facets, 314 planes and 430 records (the seed-1 verify3d pool of
+    perfbench), of which the rows take 2.7 ms; the CLI prints the same
+    records from the same rows in 3.7 ms.  0.14 s on gen_lattice_slab3d(50)
+    (27 456 ties, 3 378 planes) and 0.25 s on gen_lattice2d(196) (22 916
+    ties, 8 830 lines).
+    """
+    dim = len(tied[0]) - 1
     measure_den = math.factorial(dim - 1) ** 2 * scale ** (2 * dim - 2)
     record = SlabRecord if dim == 3 else LineSideRecord
     single = len(pts) == sum(map(len, idx))
-    dots_of = hyperplane = None
+    hyperplane = None
     contrib = []
-    # a 2D key sorts by the direction (g1, -g0) of its line
-    for key in sorted(groups, key=None if dim == 3 else lambda key: (key[1], -key[0]) + key[3:]):
-        g0, g1, g2, t, above = key
-        simplices, apexes, dt, normal = groups[key]
+    for g, t, above, on, facets, apexes, nn, dt_sq in _rows(pts, tied):
+        g0, g1, g2 = g
         gg = g0 * g0 + g1 * g1 + g2 * g2
-        if hyperplane != key[:4]:
-            hyperplane = key[:4]
-            # the sorted keys bring each normal's hyperplanes together
-            if dots_of != key[:3]:
-                dots_of, on_plane = key[:3], {}
-                on = [s for s, (x, y, z) in enumerate(pts) if g0 * x + g1 * y + g2 * z == t]
-            else:
-                if not on_plane:
-                    for s, (x, y, z) in enumerate(pts):
-                        on_plane.setdefault(g0 * x + g1 * y + g2 * z, []).append(s)
-                on = on_plane[t]
+        if hyperplane != (g, t):
+            hyperplane = g, t
             incident = tuple(sorted([i for s in on for i in idx[s]]))
-            wit = tuple(_expand(simplices, idx, single))
-            measure = Fraction(sum(map(mul, normal, normal)), measure_den)
+            wit = tuple(_expand(facets, idx, single))
             if dim == 3:
                 # g is primitive, so (scale g, t) reduces by gcd(scale, t)
                 h = math.gcd(scale, t)
                 summary = PlaneSummary(
                     key=HyperplaneKey((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h),
                     incident=incident, n_points=len(incident), n_lines=_n_lines(pts, on),
-                    min_area_sq=measure, count=len(wit), witnesses=wit)
+                    min_area_sq=Fraction(nn, measure_den), count=len(wit), witnesses=wit)
             else:  # the scaled line passes nearest the origin at t * g / |g|^2
                 summary = LineSummary(
                     key=LineKey(direction=(g1, -g0), anchor=(Fraction(t * g0, gg * scale),
                                                              Fraction(t * g1, gg * scale))),
-                    incident=incident, n_points=len(incident), min_length_sq=measure,
-                    count=len(wit), witnesses=wit)
+                    incident=incident, n_points=len(incident),
+                    min_length_sq=Fraction(nn, measure_den), count=len(wit), witnesses=wit)
         nearest = tuple(sorted([i for s in apexes for i in idx[s]]))
         contrib.append((summary, record(summary.key, "above" if above else "below",
-                                        Fraction(dt * dt, gg * scale ** 2), len(nearest),
+                                        Fraction(dt_sq, gg * scale ** 2), len(nearest),
                                         nearest)))
     return tuple(contrib)
 
 
 def _minimal(ps, dim, witnesses):
-    """(measure, count, n_flats, witnesses, contributing) of the minimum-area
+    """(measure, count, n_flats, witnesses, solved) of the minimum-area
     triangles (dim 2) or minimum-volume tetrahedra (dim 3) of ps, the last
-    two None without witnesses.  A 2D set is scanned as its sites at z == 0.
+    two None without witnesses.  solved is (sites, input indices per site,
+    tied site simplices, scale), from which _contributing builds the
+    records.  A 2D set is scanned as its sites at z == 0.
     """
     if ps.dim != dim:
         raise DimensionMismatch(f"need a {dim}D point set, got dim {ps.dim}")
@@ -567,7 +593,7 @@ def _minimal(ps, dim, witnesses):
     if not witnesses:
         return measure, count, n_flats, None, None
     wit = tuple(_expand(ties, idx, len(pts) == len(ps)))
-    return measure, count, n_flats, wit, _contributing(pts, idx, ties, scale)
+    return measure, count, n_flats, wit, (pts, idx, ties, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +723,9 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
     contributing (plane, slab) pairs are materialized from the tied points
     as well.
     """
-    vol, count, n_planes, wit, contributing = _minimal(ps, 3, witnesses)
-    return MinVolumeReport(vol, vol * vol, count, 4 * count, n_planes, wit, contributing)
+    vol, count, n_planes, wit, solved = _minimal(ps, 3, witnesses)
+    return MinVolumeReport(vol, vol * vol, count, 4 * count, n_planes, wit,
+                           solved and _contributing(*solved))
 
 
 def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
@@ -713,5 +740,6 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
     witnesses the tied triangles are kept too, and the witness triangles and
     the contributing (line, side) pairs are materialized from them.
     """
-    area, count, n_lines, wit, contributing = _minimal(ps, 2, witnesses)
-    return MinAreaReport(area, area * area, count, 3 * count, n_lines, wit, contributing)
+    area, count, n_lines, wit, solved = _minimal(ps, 2, witnesses)
+    return MinAreaReport(area, area * area, count, 3 * count, n_lines, wit,
+                         solved and _contributing(*solved))

@@ -13,9 +13,11 @@ import pytest
 import simplexvol
 import simplexvol.bruteforce as bruteforce
 import simplexvol.charging as charging
-from simplexvol import (gen_lattice_slab3d, gen_min_tetra_prism, gen_random_rational,
-                        load_point_file, min_volume_tetrahedra, parse_point_file,
-                        write_point_file)
+import simplexvol.cli as cli
+import simplexvol.reporter as reporter
+from simplexvol import (gen_lattice2d, gen_lattice_slab3d, gen_min_tetra_prism,
+                        gen_random_rational, load_point_file, min_area_triangles,
+                        min_volume_tetrahedra, parse_point_file, write_point_file)
 from simplexvol.bruteforce import MinSimplexResult
 from simplexvol.cli import BENCH_FAMILIES, _build_parser, _git_revision, main
 from helpers import PRIME_DENOMINATORS_3D
@@ -166,11 +168,25 @@ def test_minvol_deterministic_output(tmp_path, capsys):
     assert doc1 == doc2
 
 
+def assert_records_match(records, report):
+    """The JSON records equal the library's (summary, side record) pairs, in
+    order, with every rational parsed back exactly."""
+    assert [(rec["plane"]["normal"], rec["plane"]["offset"], rec["side"], rec["n_points"],
+             rec["n_lines"], F(rec["min_area_sq"]), rec["min_area_count"], F(rec["dist_sq"]),
+             rec["nearest_count"]) for rec in records] == [
+        (list(summary.key.normal), summary.key.offset, slab.side, summary.n_points,
+         summary.n_lines, summary.min_area_sq, summary.count, slab.dist_sq, slab.count)
+        for summary, slab in report.contributing]
+
+
 @pytest.mark.parametrize("points, volume, volume_sq", [
     (PRIME_DENOMINATORS_3D, "1/540", "1/291600"),
     (gen_min_tetra_prism(16).points, "1/768", "1/589824"),
     ([(0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6), (6, 6, 6)], "36", "1296"),
-], ids=["prime-denominators", "prism16", "integer-volume"])
+    (gen_lattice_slab3d(18), "1/2", "1/4"),
+    # 20 points of the 5x5x5 box, as in the verification run of perfbench
+    (gen_random_rational(20, 3, seed=1, bound=2), "1/6", "1/36"),
+], ids=["prime-denominators", "prism16", "integer-volume", "lattice-slab18", "box-subset20"])
 def test_minvol_contributing_json_matches_the_library(tmp_path, capsys, points, volume, volume_sq):
     path = str(tmp_path / "points.txt")
     write_point_file(path, simplexvol.PointSet(points), [])
@@ -180,13 +196,55 @@ def test_minvol_contributing_json_matches_the_library(tmp_path, capsys, points, 
     assert (results["min_volume"], results["min_volume_sq"]) == (volume, volume_sq)
     report = min_volume_tetrahedra(load_point_file(path))
     assert results["witnesses"] == [list(w) for w in report.witnesses]
-    # the records in the library's order, with every rational parsed back exactly
-    assert [(rec["plane"]["normal"], rec["plane"]["offset"], rec["side"], rec["n_points"],
-             rec["n_lines"], F(rec["min_area_sq"]), rec["min_area_count"], F(rec["dist_sq"]),
-             rec["nearest_count"]) for rec in results["contributing"]] == [
-        (list(summary.key.normal), summary.key.offset, slab.side, summary.n_points,
-         summary.n_lines, summary.min_area_sq, summary.count, slab.dist_sq, slab.count)
-        for summary, slab in report.contributing]
+    assert_records_match(results["contributing"], report)
+
+
+@pytest.mark.parametrize("ps", [
+    simplexvol.PointSet(gen_min_tetra_prism(16).points.points
+                        + gen_min_tetra_prism(16).points.points[:5], allow_duplicates=True),
+    simplexvol.PointSet(PRIME_DENOMINATORS_3D.points + PRIME_DENOMINATORS_3D.points[2:5]
+                        + PRIME_DENOMINATORS_3D.points[2:3], allow_duplicates=True),
+], ids=["prism16-duplicates", "prime-denominators-duplicates"])
+def test_contributing_json_weighs_coincident_points(ps):
+    # the CLI rejects duplicate points, so only a direct call reaches sites
+    # that hold several input points
+    solved = reporter._minimal(ps, 3, True)[4]
+    assert max(map(len, solved[1])) > 1
+    records = json.loads(json.dumps(cli._contributing_json(*solved)))
+    assert_records_match(records, min_volume_tetrahedra(ps))
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("minvol", ["--oracle"]),
+    ("minvol", ["--check-charging"]),
+    ("minvol", ["--oracle", "--check-charging"]),
+    ("minarea", ["--report-witnesses"]),
+    ("minarea", ["--oracle"]),
+    ("minarea", ["--oracle", "--report-witnesses"]),
+], ids=["minvol-oracle", "minvol-charging", "minvol-oracle-charging", "minarea-witnesses",
+        "minarea-oracle", "minarea-oracle-witnesses"])
+def test_witness_list_runs_build_no_records(tmp_path, capsys, monkeypatch, command, flags):
+    ps = gen_min_tetra_prism(16).points if command == "minvol" else gen_lattice2d(25)
+    path = str(tmp_path / "points.txt")
+    write_point_file(path, ps, [])
+    code, out, _ = run(capsys, command, path, *flags)
+
+    def no_rows(*args):
+        raise AssertionError("contributing records built")
+
+    monkeypatch.setattr(reporter, "_rows", no_rows)
+    monkeypatch.setattr(cli, "_rows", no_rows)
+    patched_code, patched_out, _ = run(capsys, command, path, *flags)
+    assert code == patched_code == 0
+    doc, patched = report_of(out), report_of(patched_out)
+    doc.pop("timing_seconds"), patched.pop("timing_seconds")
+    assert doc == patched
+    # the control: a run that builds records reaches the patched routine
+    with pytest.raises(AssertionError, match="records built"):
+        if command == "minvol":
+            main(["minvol", path, "--report-witnesses"])
+        else:
+            min_area_triangles(ps)
 
 
 def test_minarea(tmp_path, capsys):

@@ -113,6 +113,19 @@ def test_integer_coordinates_roundtrip():
         assert all(F(c, scale) == orig for c, orig in zip(row, pt))
 
 
+@pytest.mark.parametrize("rows, expected_scale", [
+    ([(F(-7, 4), F(5, 6), -3), (F(-1, 9), 0, F(11, 4)), (2, F(-13, 6), F(1, 9))], 36),
+    ([(-5, 0, 7), (3, -2, 0)], 1),
+    ([(F(-3, 10), F(4, 15)), (F(-1, 6), -1)], 30),
+], ids=["negative-mixed-denominators", "integers", "2d"])
+def test_integer_coordinates_scales_by_the_denominator_lcm(rows, expected_scale):
+    ps = PointSet(rows)
+    coords, scale = integer_coordinates(ps)
+    assert scale == expected_scale
+    assert coords == [tuple(c * scale for c in pt) for pt in ps.points]
+    assert all(type(c) is int for row in coords for c in row)
+
+
 def test_primitive_vector():
     assert primitive_vector((4, -6, 2)) == (2, -3, 1)
     assert primitive_vector((-4, 6, -2)) == (2, -3, 1)
