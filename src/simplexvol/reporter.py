@@ -17,6 +17,11 @@ projection of c - a.  The spanned lines or planes are counted from the same
 pass.  A plane of a 3D set is scanned as a 2D set after its points are
 projected onto a coordinate plane.
 
+The faces are taken with their first site descending, so a site's own faces
+are done before it ends a face.  Each face then builds its classes only from
+the later sites that come first on their ray from its last site: a site
+behind another on such a ray is never in a minimal pair (_window_pairs).
+
 The faces and apexes of the tied simplices then give each contributing line
 or plane and its nearest points on one side (its empty slab).  A
 minimum-volume tetrahedron is a minimum-area triangle of a plane with a
@@ -28,7 +33,7 @@ rationals.
 
 On random points most faces are settled without pairing, by the
 neighbour-gap certificate of _window_pairs, and the scans grew as about
-n^2.0 (2D, n = 200..800) and n^2.9 (3D, n = 40..160: 0.023 to 1.3 s on a
+n^2.0 (2D, n = 200..800) and n^2.9 (3D, n = 40..160: 0.014 to 0.88 s on a
 shared 2-vCPU host, Python 3.11); when the running minimum does not narrow
 the windows they take O(n^3) and O(n^4).  The guaranteed O(n^2)
 minimum-area triangle through the dual line arrangement (Edelsbrunner,
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import itemgetter, mul
 from typing import Iterable
 
@@ -154,26 +159,34 @@ class MinAreaReport:
 # scaled-integer internals
 
 
-def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
-    """Least positive |det(u, c - a, d - a)|, at most best, over the sites
-    c, d of view from start on, returned as
-    (least, count, ties, n_classes, multi, axis).  view holds the sites as
-    integer (i, j, k) triples and u is an integer (i, j, k) vector with
-    u_k != 0.  count sums the products of the site weights over the pairs
-    attaining least, and ties, with collect, lists their (sites c, sites d);
-    both are empty when no pair reaches best.
+def _window_pairs(view, a, u, heads, tails, weight, scale_k, vertical, best, collect):
+    """Least positive |det(u, c - a, d - a)|, at most best, over the later
+    sites c, d of view, returned as (least, count, ties, n_lone, multi,
+    axis).  view holds the sites as integer (i, j, k) triples and u is an
+    integer (i, j, k) vector with u_k != 0; b = a + u.  The later sites are
+    the heads, each first on its ray from b, and for each (h, behind) of
+    tails the sites behind h on its ray.  count sums the products of the
+    site weights over the pairs attaining least, and ties, with collect,
+    lists their (sites c, sites d); both are empty when no pair reaches best.
 
     Along u every site c projects to the integer vector
     W = u_k (c - a) - (c - a)_k u with coordinate k dropped, and
     |det(u, c - a, d - a)| = |W_c x W_d| / |u_k|.  Sites with parallel W lie
-    on one plane through the line of u at a, and are the members of one of
-    n_classes angle classes; multi maps the key of each class with two or
-    more members to its member sites, and axis lists the sites with W == 0,
-    which are in no class.  The key of a direction is
-    floor(wy * scale_k / wx), or vertical for wx == 0.  The keys are exact
-    when scale_k exceeds the square of every entry of W, as distinct slopes
-    then differ by more than 1 / scale_k, and vertical must be below every
-    other key.
+    on one plane through the line of u at a, and are the members of one
+    angle class.  n_lone counts the classes of one member, multi maps the
+    key of each class with two or more members to its member sites, and
+    axis lists the sites with W == 0 in order, which are in no class.  A
+    class that is one ray, a head and the sites behind it, is in neither.
+    The key of a direction is floor(wy * scale_k / wx), or vertical for
+    wx == 0.  The keys are exact when scale_k exceeds the square of every
+    entry of W, as distinct slopes then differ by more than 1 / scale_k, and
+    vertical must be below every other key.
+
+    W is linear and W_b = 0, so W_c is the W of c - b, and a site c behind h
+    on a ray from b, c = b + t (h - b) with t > 1, has W_c = t W_h.  It is in
+    the class of h and strictly longer, or on the axis with h, and never in
+    a minimal pair.  So the classes are built from the heads alone, and each
+    tail only joins its head's members or the axis.
 
     Only the shortest W of a class can be in a minimal pair.  The classes are
     put in angle order, with r = |W|^2 and bound = best |u_k|.  First a
@@ -192,7 +205,10 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
     is deleted once paired.  Past a neighbour z at angle theta,
     |W_x x W_z|^2 = r_x r_z sin^2 theta >= r_x^2 sin^2 theta (r_z >= r_x)
     only grows, so a side stops once that bound exceeds the running
-    minimum.  Memory is O(len(view)) plus the ties.
+    minimum.  The classes are kept in one half-plane in angle order, so
+    W_x x W_z > 0 iff z comes later in that order, on either side and
+    across the wrap; and W_x x W_z, like bound, is a multiple of |u_k|.
+    Memory is O(len(view)) plus the ties.
     """
     ui, uj, uk = u
     ai, aj, ak = view[a]
@@ -203,7 +219,7 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
     classes: dict[int, list] = {}
     multi: dict[int, list[int]] = {}
     axis = []
-    for c in range(start, len(view)):
+    for c in heads:
         ci, cj, ck = view[c]
         wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
         if wx:
@@ -214,8 +230,8 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
             axis.append(c)
             continue
         r = wx * wx + wy * wy
-        cls = classes.get(key)
-        if cls is not None:
+        if key in classes:
+            cls = classes[key]
             members = multi.get(key)
             if members is None:
                 multi[key] = [cls[4][0], c]  # a lone member is its own shortest
@@ -231,11 +247,27 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
         if wx < 0 or (wx == 0 and wy > 0):
             wx, wy = -wx, -wy
         classes[key] = [r, wx, wy, weight[c], [c]]
+    n_cls = len(classes)
+    n_lone = n_cls - len(multi)
+    for h, behind in tails:
+        hi, hj, hk = view[h]
+        wx, wy = uk * hi - ui * hk + e0, uk * hj - uj * hk + e1
+        if wx:
+            key = wy * scale_k // wx
+        elif wy:
+            key = vertical
+        else:
+            axis += behind  # the one ray of the axis: h, then the sites behind it
+            continue
+        members = multi.get(key)
+        if members is None:
+            n_lone -= 1  # the class is the ray of h
+        else:
+            members += behind
     count = 0
     ties = []
-    n_cls = len(classes)
     if n_cls < 2:
-        return best, count, ties, n_cls, multi, axis
+        return best, count, ties, n_lone, multi, axis
     recs = [classes[key] for key in sorted(classes)]  # in angle order
     bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
     bound_sq = bound * bound
@@ -247,28 +279,32 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
             break
         rp, px, py = rq, qx, qy
     else:
-        return best, count, ties, n_cls, multi, axis
+        return best, count, ties, n_lone, multi, axis
     # the classes linked in a cycle
     nxt = list(range(1, n_cls)) + [0]
     prv = [n_cls - 1] + list(range(n_cls - 1))
     for x in sorted(range(n_cls), key=[rec[0] for rec in recs].__getitem__):
         rx, x0, x1, nx, sx = recs[x]
-        for link, ahead in ((nxt, True), (prv, False)):
+        # each side walks until the vector it meets, W_z or -W_z once the
+        # walk wraps, is past a right angle: its dot with W_x is d . W_z for
+        # z > x and -d . W_z for z < x, with d = W_x ahead and -W_x behind,
+        # and edge keeps the right angle itself ahead only
+        for link, d0, d1, edge in ((nxt, x0, x1, 0), (prv, -x0, -x1, 1)):
             z = link[x]
             while z != x:
                 rz, z0, z1, nz, sz = recs[z]
-                dot = x0 * z0 + x1 * z1
-                if (z > x) != ahead:
-                    dot = -dot  # z wrapped past the end of the angle order
-                # beyond a right angle; the right angle itself is scanned ahead only
-                if dot < 0 or (dot == 0 and not ahead):
-                    break
-                cr = abs(x0 * z1 - x1 * z0)
+                if z > x:  # W_x x W_z > 0
+                    if d0 * z0 + d1 * z1 < edge:
+                        break
+                    cr = x0 * z1 - x1 * z0
+                else:
+                    if d0 * z0 + d1 * z1 > -edge:
+                        break
+                    cr = x1 * z0 - x0 * z1
                 if cr <= bound:
-                    least = cr // size
-                    if least < best:
-                        best, bound, count, ties = least, least * size, 0, []
-                        bound_sq = bound * bound
+                    if cr < bound:  # both are multiples of size
+                        best, bound, count, ties = cr // size, cr, 0, []
+                        bound_sq = cr * cr
                     count += nx * nz
                     if collect:
                         ties.append((sx, sz))
@@ -277,7 +313,7 @@ def _window_pairs(view, a, u, start, weight, scale_k, vertical, best, collect):
                 z = link[z]
         nxt[prv[x]] = nxt[x]
         prv[nxt[x]] = prv[x]
-    return best, count, ties, n_cls, multi, axis
+    return best, count, ties, n_lone, multi, axis
 
 
 def _collinear(pts, sites):
@@ -306,8 +342,19 @@ def _scan(pts, weight, dim, collect):
     _window_pairs along u over the later sites, whose classes are the flats
     through the face.  In 2D the face is a and u = (0, 0, 1), so W = c - a.
     In 3D the face is a < b and u = b - a, and the shortest W of a class are
-    the sites of its plane nearest to line ab.  Memory is O(n) per face,
-    plus the ties.
+    the sites of its plane nearest to line ab.
+
+    The first sites a are taken in descending order, the b of each a
+    ascending, so every face (b, c) comes before any face (a, b), and the
+    axis of (a, b), its later sites on line ab, is the run of sites behind b
+    on the ray from a.  Once the faces of a are done, heads[a] holds the
+    later sites first on their ray from a, and tails[a] pairs each of them
+    with sites behind it with the axis of its face; a face (a, b) scans
+    heads[b] and tails[b].  2D faces have no axis, so their heads stay
+    ranges.  The tables take O(n) on sites in general position, where the
+    heads stay ranges, and O(n) per site with collinear later sites: O(n^2)
+    at worst, for points on a few lines.  Each face takes O(n) more, plus
+    the ties.
 
     In 3D a face (a, z) is skipped when a site b lies on the open segment az
     and two or more later sites lie on line az: these z are all but the last
@@ -328,7 +375,9 @@ def _scan(pts, weight, dim, collect):
     (i <= t), else at none.  The second term fires at b = s_t alone, so for
     each i < t.  The plane adds (t + 1) - t = 1.  A one-member class adds
     [|Z| = 0] - [|Z| = 1], and with |Z| >= 2 no term fires, so only classes
-    with two or more members need their sites.
+    with two or more members need their sites.  A class that is one ray from
+    b adds nothing: its line passes through b and misses a, and the one site
+    that Z may hold, on line ab past b, is not on it.
 
     In 2D, Z, the later sites at a, is empty, and a line with sites
     s_0 < ... < s_(k-1) is a class at each s_i, i < k - 1, with the k - 1 - i
@@ -349,42 +398,51 @@ def _scan(pts, weight, dim, collect):
     else:
         # the coordinates as (i, j, k) with k the dropped one
         views = [[(p[1], p[2], p[0]) for p in pts], [(p[0], p[2], p[1]) for p in pts], pts]
-    for face in combinations(range(m - 1), dim - 1):
-        a, b = face[0], face[-1]
-        if dim == 3:
-            if b == a + 1:
-                pruned = set()  # the sites z > b whose face (a, z) is skipped
-            elif b in pruned:
-                continue
-            x, y, z = pts[a]
-            dx, dy, dz = pts[b]
-            dx, dy, dz = abs(dx - x), abs(dy - y), abs(dz - z)
-            # k is the first coordinate with the largest |u_k|
-            view = views[0 if dx >= dy and dx >= dz else 1 if dy >= dz else 2]
-            (ai, aj, ak), (bi, bj, bk) = view[a], view[b]
-            u = bi - ai, bj - aj, bk - ak
-            # W's entries are at most mag in size, as |u_k| is u's largest
-            # and no coordinate spans more than span
-            mag = 2 * abs(u[2]) * span
-            scale_k = mag * mag + 1
-            vertical = -mag * scale_k - 1
-        least, pairs, tied, n_cls, multi, axis = _window_pairs(
-            view, a, u, b + 1, weight, scale_k, vertical, best, collect)
-        if len(axis) > 2:
-            pruned.update(axis[:-2])
-        elif len(axis) < 2:
-            n_flats += (n_cls - len(multi)) * (-1 if axis else 1)
+    # per site s, once its faces are done: the later sites first on their ray
+    # from s, and per ray with more, (that first site, the sites behind it)
+    heads = [range(s + 1, m) for s in range(m)]
+    tails = [()] * m
+    for a in range(m - dim, -1, -1):
+        shadowed, pruned, rays = set(), set(), []
+        for b in range(a + 1, m - 1) if dim == 3 else (a,):
+            if b in pruned:
+                continue  # the face (a, b) is skipped
             if dim == 3:
-                for members in multi.values():
-                    line = axis + members
-                    n_flats += ((not axis and _collinear(pts, [a] + members))
-                                - (_collinear(pts, line)
-                                   and not _collinear(pts, line[:2] + [b])))
-        if pairs:
-            if least < best:
-                best, count, ties = least, 0, []
-            count += math.prod(map(weight.__getitem__, face)) * pairs
-            ties += [face + (c, d) for cs, ds in tied for c in cs for d in ds]
+                x, y, z = pts[a]
+                dx, dy, dz = pts[b]
+                dx, dy, dz = abs(dx - x), abs(dy - y), abs(dz - z)
+                # k is the first coordinate with the largest |u_k|
+                view = views[0 if dx >= dy and dx >= dz else 1 if dy >= dz else 2]
+                (ai, aj, ak), (bi, bj, bk) = view[a], view[b]
+                u = bi - ai, bj - aj, bk - ak
+                # W's entries are at most mag in size, as |u_k| is u's largest
+                # and no coordinate spans more than span
+                mag = 2 * abs(u[2]) * span
+                scale_k = mag * mag + 1
+                vertical = -mag * scale_k - 1
+            least, pairs, tied, n_lone, multi, axis = _window_pairs(
+                view, a, u, heads[b], tails[b], weight, scale_k, vertical, best, collect)
+            if len(axis) < 2:
+                n_flats += n_lone * (-1 if axis else 1)
+                if dim == 3:
+                    for members in multi.values():
+                        line = axis + members
+                        n_flats += ((not axis and _collinear(pts, [a] + members))
+                                    - (_collinear(pts, line)
+                                       and not _collinear(pts, line[:2] + [b])))
+            if axis and b not in shadowed:  # b is first on its ray from a
+                rays.append((b, axis))
+                shadowed.update(axis)
+                pruned.update(axis[:-2])
+            if pairs:
+                if least < best:
+                    best, count, ties = least, 0, []
+                face = (a, b) if dim == 3 else (a,)
+                count += math.prod(map(weight.__getitem__, face)) * pairs
+                ties += [face + (c, d) for cs, ds in tied for c in cs for d in ds]
+        if rays:
+            heads[a] = [c for c in heads[a] if c not in shadowed]
+            tails[a] = rays
     return best, count, n_flats, ties
 
 
@@ -583,7 +641,7 @@ def _minimal(ps, dim, witnesses):
                             else "fewer than four points cannot span a tetrahedron")
     coords, scale = integer_coordinates(ps)
     pts, idx = _sites([p + (0,) * (3 - dim) for p in coords], range(len(ps)))
-    if dim == 2 and len(pts) < 2:
+    if len(pts) < 2:
         raise AllDegenerate("all points coincide")
     det, count, n_flats, ties = _scan(pts, [len(i) for i in idx], dim, witnesses)
     if not count:
@@ -716,10 +774,11 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
     points of each plane through ab are paired in angular windows that the
     running minimum bounds.  Every tetrahedron is found once, at its two
     smallest points.  On random points the time grew as about n^2.9
-    (n = 40..160, 0.023 to 1.3 s); the worst case, windows that the minimum
+    (n = 40..160, 0.014 to 0.88 s); the worst case, windows that the minimum
     does not narrow, is O(n^4).  With witnesses=False only the exact
     minimum, the exact count and the number of spanned planes are computed,
-    in O(n) memory per pair; otherwise the witness tetrahedra and the
+    in O(n) memory on points in general position and O(n^2) at worst, on
+    points along a few lines; otherwise the witness tetrahedra and the
     contributing (plane, slab) pairs are materialized from the tied points
     as well.
     """

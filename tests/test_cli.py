@@ -98,6 +98,14 @@ def test_minvol_coplanar_exits_3(tmp_path, capsys):
     assert "coplanar" in err
 
 
+def test_minvol_coincident_points_exits_2(tmp_path, capsys):
+    # the point file refuses repeated points before the reporter sees them
+    path = write_points(tmp_path, "one.txt", "dim 3\n" + "1 2 3\n" * 4)
+    code, out, err = run(capsys, "minvol", path)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "duplicate point" in err
+
+
 def test_minvol_wrong_dimension_exits_2(tmp_path, capsys):
     path = write_points(tmp_path, "flat2d.txt", "dim 2\n0 0\n1 0\n0 1\n")
     code, _, _ = run(capsys, "minvol", path)

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction as F
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +34,13 @@ from simplexvol import (
     squared_distance_point_plane,
 )
 from simplexvol.exact import integer_coordinates, primitive_vector
-from simplexvol.reporter import _scan
+import simplexvol.reporter as reporter
+from simplexvol.reporter import _collinear, _scan
 from helpers import PRIME_DENOMINATORS_3D, random_spanning
 
 LINE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]
+# most in the plane z == 0, so that a star often has three lines in one plane
+STAR_DIRECTIONS = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (2, 1, 0), (0, 0, 1), (1, 0, 1)]
 
 
 @st.composite
@@ -75,11 +79,22 @@ def tie_heavy_2d(draw):
 def tie_heavy_3d(draw):
     """Small 3D sets full of ties: lattice subsets, up to six points at equal
     gaps on each of two to four parallel lines (vertical like the prism, or
-    slanted), or points on two or three parallel planes, with duplicates.  A
-    shear and an axis scaling by primes then mix the denominators and keep
-    every tie."""
-    kind = draw(st.sampled_from(["lattice", "lines", "planes"]))
-    if kind == "lattice":
+    slanted), points on two or three parallel planes, or a star of two to
+    four lines through one shared point with up to four points each and one
+    point off them, with duplicates.  A star has rays from its shared point
+    with points behind the first, often several in one plane through an
+    earlier point, and points behind a pair on its line.  A shear and an
+    axis scaling by primes then mix the denominators and keep every tie."""
+    kind = draw(st.sampled_from(["lattice", "lines", "planes", "star"]))
+    if kind == "star":
+        centre = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        # first, as only the first ten points are kept
+        pts = [centre, draw(st.tuples(*[st.integers(-3, 3)] * 3))]
+        for _ in range(draw(st.integers(2, 4))):
+            d = draw(st.sampled_from(STAR_DIRECTIONS))
+            ts = draw(st.lists(st.sampled_from([-1, 1, 2]), min_size=2, max_size=3, unique=True))
+            pts += [tuple(a + t * c for a, c in zip(centre, d)) for t in ts]
+    elif kind == "lattice":
         coord = st.integers(0, draw(st.integers(1, 2)))
         pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=12, unique=True))
     elif kind == "lines":
@@ -417,7 +432,9 @@ class TestMinVolumeTetrahedra:
         try:
             oracle = min_volume_simplices(ps, 3)
         except AllDegenerate:
-            with pytest.raises(AllDegenerate, match="coplanar" if n_planes else "collinear"):
+            message = ("coplanar" if n_planes else "collinear" if len(set(ps.points)) > 1
+                       else "coincide")
+            with pytest.raises(AllDegenerate, match=message):
                 min_volume_tetrahedra(ps)
             return
         report = min_volume_tetrahedra(ps)
@@ -473,8 +490,9 @@ class TestMinVolumeTetrahedra:
         assert report.witnesses == tuple(sorted(oracle.witnesses))
 
     def test_working_memory_grows_linearly(self):
-        # The scan keeps O(n) per pair of points; a set of all plane normals
-        # of random points would grow about 8x when n doubles.
+        # On points in general position the scan keeps O(n), plus O(n) per
+        # pair of points; a set of all plane normals of random points would
+        # grow about 8x when n doubles.
         peaks = []
         for n in (15, 30):
             ps = gen_random_rational(n, 3, seed=0, bound=1000)
@@ -485,6 +503,59 @@ class TestMinVolumeTetrahedra:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 4 * peaks[0], peaks
+
+    def test_working_memory_on_collinear_sites(self):
+        # Each site keeps its later sites that come first on their ray from
+        # it, and the sites behind them: O(n) per site on the prism's four
+        # lines, so O(n^2) in all, at most 4x when n doubles, where a table
+        # of O(n^3) would grow 8x.
+        peaks = []
+        for n in (32, 64):
+            ps = gen_min_tetra_prism(n).points
+            tracemalloc.start()
+            try:
+                min_volume_tetrahedra(ps, witnesses=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 5 * peaks[0], peaks
+
+    def test_scan_visits_no_site_behind_another(self, monkeypatch):
+        # Each face (a, b) builds its classes from the later sites that come
+        # first on their ray from b; the sites behind them are only joined to
+        # a class or the axis.  On the prism's four lines the later sites of
+        # the face's own line after the first are behind it.
+        prism = gen_min_tetra_prism(16)
+        pts = sorted(set(integer_coordinates(prism.points)[0]))
+        window_pairs = reporter._window_pairs
+        seen = {"faces": 0, "behind": 0}
+
+        def between(b, h, c):
+            """Whether site h lies inside the segment from site b to site c."""
+            hb, ch = map(sub, pts[h], pts[b]), map(sub, pts[c], pts[h])
+            return _collinear(pts, [b, h, c]) and sum(map(mul, hb, ch)) > 0
+
+        def checked(view, a, u, heads, tails, *rest):
+            b = view.index(tuple(map(sum, zip(view[a], u))))
+            later = range(b + 1, len(pts))
+            behind = {c for c in later for h in later if h != c and between(b, h, c)}
+            assert not behind & set(heads)
+            assert {s for _, ray in tails for s in ray} == behind
+            assert sorted([*heads, *behind]) == list(later)
+            seen["faces"] += 1
+            seen["behind"] += len(behind)
+            return window_pairs(view, a, u, heads, tails, *rest)
+
+        monkeypatch.setattr(reporter, "_window_pairs", checked)
+        report = min_volume_tetrahedra(prism.points, witnesses=False)
+        assert report.count == prism.expected["count"]
+        assert report.n_planes == len(spanned_planes(prism.points))
+        assert seen["faces"] > 0 and seen["behind"] > 0, seen
+
+    def test_coincident_points_error(self):
+        ps = PointSet([(1, 2, 3)] * 5, allow_duplicates=True)
+        with pytest.raises(AllDegenerate, match="all points coincide"):
+            min_volume_tetrahedra(ps)
 
     def test_coplanar_error(self):
         ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 5, 0)])
