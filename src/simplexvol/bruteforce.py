@@ -83,11 +83,12 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     simplices attaining it.  Raises AllDegenerate when no (k+1)-subset has
     positive volume.
 
-    For k = d each apex takes one dot product with its face's normal.  For
-    d = 3, the verification run's case, it is written out as three terms
-    instead of the generic sum over the entries, which made the whole scan
-    1.5x faster on the 20-point inputs of perfbench's verify3d pool (2.4 ms
-    per input instead of 3.7 ms, alternating runs on a 2-vCPU host).
+    For k = d each face takes its normal once, from its coordinates as
+    combinations yields them, and each apex one dot product with it; each
+    k-simplex for k < d takes a Gram determinant.  The cost is one such
+    evaluation per (k + 1)-subset, C(n, k + 1) in all, on any input.
+    k = d = 3, the verification run's case, has its own apex loop, with the
+    dot product written out as three terms and no branch per apex.
     """
     d = ps.dim
     if not 1 <= k <= d:
@@ -97,32 +98,32 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
         raise AllDegenerate(f"need at least {k + 1} points for a {k}-simplex")
     coords, scale = integer_coordinates(ps)
     best = None
-    witnesses: list[IndexSimplex] = []
-    count = 0
-    # face + (l,) runs through the (k+1)-subsets in combinations order
-    for face in combinations(range(n), k):
+    witnesses: list[IndexSimplex] = []  # the subsets attaining best
+    # face + (l,) runs through the (k+1)-subsets in combinations order, and
+    # points through the face's coordinates in the same order
+    for face, points in zip(combinations(range(n), k), combinations(coords, k)):
+        if k == d == 3:
+            (n0, n1, n2), offset = face_normal(points)
+            for l in range(face[-1] + 1, n):
+                x, y, z = coords[l]
+                num = n0 * x + n1 * y + n2 * z - offset
+                num *= num
+                if num and (best is None or num <= best):
+                    if num != best:
+                        best, witnesses = num, []
+                    witnesses.append(face + (l,))
+            continue
         if k == d:
-            normal, offset = face_normal([coords[i] for i in face])
-            if d == 3:
-                n0, n1, n2 = normal
+            normal, offset = face_normal(points)
         for l in range(face[-1] + 1, n):
             if k < d:
                 num = _int_squared_volume_numerator(coords, face + (l,))
             else:
-                if d == 3:
-                    x, y, z = coords[l]
-                    num = n0 * x + n1 * y + n2 * z - offset
-                else:
-                    num = sum(map(mul, normal, coords[l])) - offset
+                num = sum(map(mul, normal, coords[l])) - offset
                 num *= num
-            if num == 0:
-                continue
-            if best is None or num < best:
-                best = num
-                count = 1
-                witnesses = [face + (l,)]
-            elif num == best:
-                count += 1
+            if num and (best is None or num <= best):
+                if num != best:
+                    best, witnesses = num, []
                 witnesses.append(face + (l,))
     if best is None:
         raise AllDegenerate(f"every {k + 1}-subset of the input is degenerate")
@@ -130,7 +131,7 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     return MinSimplexResult(
         min_squared_volume=Fraction(best, denom),
         witnesses=tuple(witnesses),
-        count=count,
+        count=len(witnesses),
     )
 
 

@@ -72,37 +72,49 @@ def _charge(ps: PointSet, coords, tetra: Iterable[int]) -> tuple:
     face's two edges and det = normal . (apex - face[0]) in those
     coordinates.
 
-    The six edge vectors and squared lengths are taken once; each face that
-    holds a diameter gets |cross|^2 of two of its edges, and the first
-    strictly largest wins.  The side is the sign of det with the normal in
-    its canonical key orientation (exact.leading_sign).
+    A tuple of four increasing indices in range, as the reporters' witnesses
+    come, is taken as it is; any other tetra goes through as_simplex, which
+    sorts and validates it.  The six edge vectors and squared lengths are
+    taken once; each face that holds a diameter gets |cross|^2 of two of its
+    edges, and the first strictly largest wins.  The side is the sign of det
+    with the normal in its canonical key orientation (exact.leading_sign).
     """
-    tet = as_simplex(tetra, len(ps))
+    n = len(ps)
+    if type(tetra) is tuple and len(tetra) == 4 and 0 <= tetra[0] < tetra[1] < tetra[2] < tetra[3] < n:
+        tet = tetra
+    else:
+        tet = as_simplex(tetra, n)
     if len(tet) != 4 or ps.dim != 3:
         raise DegenerateInput("charging needs a tetrahedron in a 3D point set")
-    pts = [coords[i] for i in tet]
-    vecs = [(q0 - p0, q1 - p1, q2 - p2) for (p0, p1, p2), (q0, q1, q2) in combinations(pts, 2)]
+    i0, i1, i2, i3 = tet
+    pts = coords[i0], coords[i1], coords[i2], coords[i3]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = pts
+    # the edge vectors in _EDGES order
+    vecs = ((b0 - a0, b1 - a1, b2 - a2), (c0 - a0, c1 - a1, c2 - a2), (d0 - a0, d1 - a1, d2 - a2),
+            (c0 - b0, c1 - b1, c2 - b2), (d0 - b0, d1 - b1, d2 - b2), (d0 - c0, d1 - c1, d2 - c2))
     lengths = [x * x + y * y + z * z for x, y, z in vecs]
     max_len = max(lengths)
     area = -1
     for f, edges in _FACES:
-        if max_len not in (lengths[edges[0]], lengths[edges[1]], lengths[edges[2]]):
+        e0, e1, e2 = edges
+        if lengths[e0] != max_len and lengths[e1] != max_len and lengths[e2] != max_len:
             continue
-        (u0, u1, u2), (v0, v1, v2) = vecs[edges[0]], vecs[edges[1]]
+        (u0, u1, u2), (v0, v1, v2) = vecs[e0], vecs[e1]
         n0, n1, n2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
         a = n0 * n0 + n1 * n1 + n2 * n2
         if a > area:
-            area, face, face_edges, normal = a, f, edges, (n0, n1, n2)
-    p, q = pts[face[0]], pts[6 - sum(face)]  # q is the apex: 0 + 1 + 2 + 3 == 6
-    det = normal[0] * (q[0] - p[0]) + normal[1] * (q[1] - p[1]) + normal[2] * (q[2] - p[2])
+            area, face, face_edges, m0, m1, m2 = a, f, edges, n0, n1, n2
+    f0, f1, f2 = face
+    (p0, p1, p2), (q0, q1, q2) = pts[f0], pts[6 - f0 - f1 - f2]  # the apex: 0 + 1 + 2 + 3 == 6
+    det = m0 * (q0 - p0) + m1 * (q1 - p1) + m2 * (q2 - p2)
     if det == 0:
         raise DegenerateInput(f"tetrahedron {tet} is degenerate")
     for e in face_edges:
         if lengths[e] == max_len:
             break
     i, j = _EDGES[e]
-    return (tet, (tet[face[0]], tet[face[1]], tet[face[2]]),
-            "above" if det * leading_sign(normal) > 0 else "below",
+    return (tet, (tet[f0], tet[f1], tet[f2]),
+            "above" if det * leading_sign((m0, m1, m2)) > 0 else "below",
             (tet[i], tet[j]), max_len, area, det)
 
 

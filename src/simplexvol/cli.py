@@ -24,7 +24,8 @@ from .constructions import FAMILIES, gen_lattice_slab3d, gen_min_tetra_prism, ge
 from .distinct import best_common_face
 from .exact import AllDegenerate, DegenerateInput, PointSet
 from .pointfile import content_digest, load_point_file, write_point_file
-from .reporter import _minimal, _n_lines, _rows, min_area_triangles, min_volume_tetrahedra
+from .reporter import (_gc_paused, _minimal, _n_lines, _rows, min_area_triangles,
+                       min_volume_tetrahedra)
 
 SCHEMA_VERSION = 3
 ORACLE_SIZE_LIMIT = 30  # brute force above this is ~n^4 and is refused
@@ -70,15 +71,16 @@ def _contributing_json(pts, idx, tied, scale) -> list[dict]:
     def exact(num, den):
         text = strings.get((num, den))
         if text is None:
-            text = strings[num, den] = _rat(Fraction(num, den))
+            g = math.gcd(num, den)  # den > 0: the string of Fraction(num, den)
+            text = strings[num, den] = str(num // g) if g == den else f"{num // g}/{den // g}"
         return text
 
     out = []
-    hyperplane = None
+    plane_facets = None
     for g, t, above, on, facets, apexes, nn, dt_sq in _rows(pts, tied):
-        g0, g1, g2 = g
-        if hyperplane != (g, t):
-            hyperplane = g, t
+        if facets is not plane_facets:  # a new hyperplane: its rows share one facet list
+            plane_facets = facets
+            g0, g1, g2 = g
             # g is primitive, so (scale g, t) reduces by gcd(scale, t)
             h = math.gcd(scale, t)
             plane = {"normal": (scale * g0 // h, scale * g1 // h, scale * g2 // h),
@@ -87,6 +89,7 @@ def _contributing_json(pts, idx, tied, scale) -> list[dict]:
             n_lines, area = _n_lines(pts, on), exact(nn, area_den)
             count = len(facets) if single else sum(
                 [math.prod(map(weight.__getitem__, facet)) for facet in facets])
+            g_den = (g0 * g0 + g1 * g1 + g2 * g2) * dist_den
         out.append({
             "plane": plane,
             "n_points": n_points,
@@ -94,7 +97,7 @@ def _contributing_json(pts, idx, tied, scale) -> list[dict]:
             "min_area_sq": area,
             "min_area_count": count,
             "side": "above" if above else "below",
-            "dist_sq": exact(dt_sq, (g0 * g0 + g1 * g1 + g2 * g2) * dist_den),
+            "dist_sq": exact(dt_sq, g_den),
             "nearest_count": len(apexes) if single else sum(map(weight.__getitem__, apexes)),
         })
     return out
@@ -159,11 +162,13 @@ def cmd_minvol(args) -> int:
     start = time.perf_counter()
     # Runs without witnesses call the public reporter, the name through which
     # perfbench traces the reporter; witness runs build the contributing
-    # records only when they print them, and then straight as JSON.
+    # records only when they print them, and then straight as JSON, with the
+    # cyclic garbage collector paused as in the library's witness build.
     if args.report_witnesses or args.oracle or args.check_charging:
-        vol, count, n_planes, wit, solved = _minimal(ps, 3, True)
-        if args.report_witnesses:
-            contributing = _contributing_json(*solved)
+        with _gc_paused():
+            vol, count, n_planes, wit, solved = _minimal(ps, 3, True)
+            if args.report_witnesses:
+                contributing = _contributing_json(*solved)
     else:
         report = min_volume_tetrahedra(ps, witnesses=False)
         vol, count, n_planes = report.min_volume, report.count, report.n_planes
@@ -201,7 +206,8 @@ def cmd_minarea(args) -> int:
         raise ValueError(f"minarea needs a 2D point file, got dim {ps.dim}")
     start = time.perf_counter()
     if args.report_witnesses or args.oracle:  # as in minvol; minarea prints no records
-        area, count, n_lines, wit, _ = _minimal(ps, 2, True)
+        with _gc_paused():
+            area, count, n_lines, wit, _ = _minimal(ps, 2, True)
     else:
         report = min_area_triangles(ps, witnesses=False)
         area, count, n_lines = report.min_area, report.count, report.n_lines

@@ -32,16 +32,19 @@ are compared exactly as integer cross-products; reported values are exact
 rationals.
 
 On random points most faces are settled without pairing, by the
-neighbour-gap certificate of _window_pairs, and the scans grew as about
-n^2.0 (2D, n = 200..800) and n^2.9 (3D, n = 40..160: 0.014 to 0.88 s on a
-shared 2-vCPU host, Python 3.11); when the running minimum does not narrow
-the windows they take O(n^3) and O(n^4).  The guaranteed O(n^2)
-minimum-area triangle through the dual line arrangement (Edelsbrunner,
-O'Rourke and Seidel, SIAM J. Comput. 1986) is not implemented.
+neighbour-gap certificate of _window_pairs, so a scan costs about the
+class building of its faces, O(n) for each of the n faces in 2D and the
+O(n^2) faces in 3D; when the running minimum does not narrow the windows
+the scans take O(n^3) and O(n^4).  The README gives measured times.  The
+guaranteed O(n^2) minimum-area triangle through the dual line arrangement
+(Edelsbrunner, O'Rourke and Seidel, SIAM J. Comput. 1986) is not
+implemented.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -503,8 +506,10 @@ def _rows(pts, tied):
     and its apex a nearest point on that side, and every minimal facet with
     a nearest point on a side that has a tie is a tie, so the facets of a
     hyperplane are all of its minimal facets, on either side, and the apexes
-    on a side all of that side's nearest points.  Each sorted tie gives its
-    (facet, apex) pairs from one position table, grouped by facet first.
+    on a side all of that side's nearest points.  A tie of _scan is its
+    face's sites, ascending, then two later sites c, d, so it is sorted
+    once c and d are in order.  Each sorted tie gives its (facet, apex)
+    pairs from one position table, grouped by facet first.
     Each distinct facet then takes its normal N once and its primitive
     normal g, and goes under the key (g0, g1, g2, t) with its apexes split
     by side: the apex is above iff dt = t - g . apex < 0.  A triangle face
@@ -524,7 +529,8 @@ def _rows(pts, tied):
                  for k in range(dim + 1)]
     apexes_of: dict[tuple, list[int]] = {}
     for tie in tied:
-        tie = sorted(tie)
+        if tie[-2] > tie[-1]:  # the face comes first and ascending (_scan)
+            tie = tie[:-2] + (tie[-1], tie[-2])
         for facet_of, k in positions:
             facet = facet_of(tie)
             apexes = apexes_of.get(facet)
@@ -535,13 +541,16 @@ def _rows(pts, tied):
     sites = pts if dim == 3 else [p[:2] for p in pts]  # in face_normal's dimension
     planes: dict[tuple, list] = {}
     for facet, apexes in apexes_of.items():
-        normal = face_normal(list(map(sites.__getitem__, facet)))[0]
         if dim == 3:
+            s0, s1, s2 = facet
+            normal = face_normal((sites[s0], sites[s1], sites[s2]))[0]
             g0, g1, g2 = primitive_vector(normal)
         else:
+            s0, s1 = facet
+            normal = face_normal((sites[s0], sites[s1]))[0]
             e0, e1 = primitive_vector((normal[1], -normal[0]))
             g0, g1, g2 = -e1, e0, 0
-        x, y, z = pts[facet[0]]
+        x, y, z = pts[s0]
         t = g0 * x + g1 * y + g2 * z
         plane = planes.get((g0, g1, g2, t))
         if plane is None:
@@ -586,25 +595,29 @@ def _contributing(pts, idx, tied, scale):
 
     Besides the rows, each hyperplane costs its incident and witness lists
     and, in a plane with k > 3 sites, O(k^2) for its lines, and each record
-    its nearest list.  On a shared 2-vCPU host (Python 3.11), best of 7:
-    about 6.0 ms per input of 20 lattice points with 244 ties, 422 distinct
-    facets, 314 planes and 430 records (the seed-1 verify3d pool of
-    perfbench), of which the rows take 2.7 ms; the CLI prints the same
-    records from the same rows in 3.7 ms.  0.14 s on gen_lattice_slab3d(50)
-    (27 456 ties, 3 378 planes) and 0.25 s on gen_lattice2d(196) (22 916
-    ties, 8 830 lines).
+    its nearest list.  So the cost grows with the ties, the distinct facets,
+    the hyperplanes and their records, and with the sites for each distinct
+    normal; the README gives measured times per witness.
     """
     dim = len(tied[0]) - 1
     measure_den = math.factorial(dim - 1) ** 2 * scale ** (2 * dim - 2)
     record = SlabRecord if dim == 3 else LineSideRecord
     single = len(pts) == sum(map(len, idx))
-    hyperplane = None
+    fractions: dict[tuple[int, int], Fraction] = {}
+
+    def exact(num, den):  # each exact value is made once per distinct value
+        value = fractions.get((num, den))
+        if value is None:
+            value = fractions[num, den] = Fraction(num, den)
+        return value
+
+    plane_facets = None
     contrib = []
     for g, t, above, on, facets, apexes, nn, dt_sq in _rows(pts, tied):
-        g0, g1, g2 = g
-        gg = g0 * g0 + g1 * g1 + g2 * g2
-        if hyperplane != (g, t):
-            hyperplane = g, t
+        if facets is not plane_facets:  # a new hyperplane: its rows share one facet list
+            plane_facets = facets
+            g0, g1, g2 = g
+            gg = g0 * g0 + g1 * g1 + g2 * g2
             incident = tuple(sorted([i for s in on for i in idx[s]]))
             wit = tuple(_expand(facets, idx, single))
             if dim == 3:
@@ -613,18 +626,36 @@ def _contributing(pts, idx, tied, scale):
                 summary = PlaneSummary(
                     key=HyperplaneKey((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h),
                     incident=incident, n_points=len(incident), n_lines=_n_lines(pts, on),
-                    min_area_sq=Fraction(nn, measure_den), count=len(wit), witnesses=wit)
+                    min_area_sq=exact(nn, measure_den), count=len(wit), witnesses=wit)
             else:  # the scaled line passes nearest the origin at t * g / |g|^2
                 summary = LineSummary(
                     key=LineKey(direction=(g1, -g0), anchor=(Fraction(t * g0, gg * scale),
                                                              Fraction(t * g1, gg * scale))),
                     incident=incident, n_points=len(incident),
-                    min_length_sq=Fraction(nn, measure_den), count=len(wit), witnesses=wit)
+                    min_length_sq=exact(nn, measure_den), count=len(wit), witnesses=wit)
+            dist_den = gg * scale * scale
         nearest = tuple(sorted([i for s in apexes for i in idx[s]]))
         contrib.append((summary, record(summary.key, "above" if above else "below",
-                                        Fraction(dt_sq, gg * scale ** 2), len(nearest),
-                                        nearest)))
+                                        exact(dt_sq, dist_den), len(nearest), nearest)))
     return tuple(contrib)
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector over the block, when it is enabled,
+    and enable it again however the block exits; a disabled collector is left
+    as it is.  A witness build makes many tuples, lists and records that form
+    no cycles, and each collection pass during the build would walk them
+    again; reference counting still frees them, and what outlives the block
+    is walked once, by the first collection after it."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _minimal(ps, dim, witnesses):
@@ -773,18 +804,21 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
     |b - a| times a projected triangle's area over 3: nearest-to-the-edge
     points of each plane through ab are paired in angular windows that the
     running minimum bounds.  Every tetrahedron is found once, at its two
-    smallest points.  On random points the time grew as about n^2.9
-    (n = 40..160, 0.014 to 0.88 s); the worst case, windows that the minimum
-    does not narrow, is O(n^4).  With witnesses=False only the exact
-    minimum, the exact count and the number of spanned planes are computed,
-    in O(n) memory on points in general position and O(n^2) at worst, on
-    points along a few lines; otherwise the witness tetrahedra and the
-    contributing (plane, slab) pairs are materialized from the tied points
-    as well.
+    smallest points.  On random points most pairs are settled before any
+    pairing, so the time is about that of building the classes, O(n) for
+    each of the O(n^2) pairs (the README gives measured times); the worst
+    case, windows that the minimum does not narrow, is O(n^4).  With
+    witnesses=False only the exact minimum, the exact count and the number
+    of spanned planes are computed, in O(n) memory on points in general
+    position and O(n^2) at worst, on points along a few lines; otherwise the
+    witness tetrahedra and the contributing (plane, slab) pairs are
+    materialized from the tied points as well, with the cyclic garbage
+    collector paused (_gc_paused).
     """
-    vol, count, n_planes, wit, solved = _minimal(ps, 3, witnesses)
-    return MinVolumeReport(vol, vol * vol, count, 4 * count, n_planes, wit,
-                           solved and _contributing(*solved))
+    with _gc_paused() if witnesses else contextlib.nullcontext():
+        vol, count, n_planes, wit, solved = _minimal(ps, 3, witnesses)
+        contributing = solved and _contributing(*solved)
+    return MinVolumeReport(vol, vol * vol, count, 4 * count, n_planes, wit, contributing)
 
 
 def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
@@ -793,12 +827,16 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
     Coincident points are merged, and each point a scans the vectors to the
     later points c: the points of each line through a nearest to a are
     paired in angular windows that the running minimum bounds, and every
-    triangle is found once, at its smallest point.  On random points the
-    time grew as about n^2.0 (n = 200..800); the worst case, windows that
-    the minimum does not narrow, is O(n^3).  Working memory is O(n); with
-    witnesses the tied triangles are kept too, and the witness triangles and
-    the contributing (line, side) pairs are materialized from them.
+    triangle is found once, at its smallest point.  On random points most
+    points are settled before any pairing, so the time is about that of
+    building the classes, O(n) for each of the n points (the README gives
+    measured times); the worst case, windows that the minimum does not
+    narrow, is O(n^3).  Working memory is O(n); with witnesses the tied
+    triangles are kept too, and the witness triangles and the contributing
+    (line, side) pairs are materialized from them, with the cyclic garbage
+    collector paused (_gc_paused).
     """
-    area, count, n_lines, wit, solved = _minimal(ps, 2, witnesses)
-    return MinAreaReport(area, area * area, count, 3 * count, n_lines, wit,
-                         solved and _contributing(*solved))
+    with _gc_paused() if witnesses else contextlib.nullcontext():
+        area, count, n_lines, wit, solved = _minimal(ps, 2, witnesses)
+        contributing = solved and _contributing(*solved)
+    return MinAreaReport(area, area * area, count, 3 * count, n_lines, wit, contributing)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, JSON reports, exit codes, determinism."""
 
+import gc
 import json
 import os
 import re
@@ -253,6 +254,48 @@ def test_witness_list_runs_build_no_records(tmp_path, capsys, monkeypatch, comma
             main(["minvol", path, "--report-witnesses"])
         else:
             min_area_triangles(ps)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_witness_runs_pause_and_restore_the_collector(tmp_path, capsys, monkeypatch, enabled):
+    # the witness build runs with the cyclic collector paused, and every run
+    # leaves it as it found it, also when the run fails
+    flags = ("--oracle", "--report-witnesses", "--check-charging")
+    prism = gen_min_tetra_prism(16).points
+    prism_path, coplanar_path = str(tmp_path / "prism.txt"), write_points(tmp_path, "c.txt", COPLANAR)
+    write_point_file(prism_path, prism, [])
+    scan, during = reporter._scan, []
+
+    def watched(*args):
+        during.append(gc.isenabled())
+        return scan(*args)
+
+    def one_face(ps, coords, tetra):
+        return tuple(tetra), (0, 1, 2), "above", (0, 1), 1, 1, 1
+
+    monkeypatch.setattr(reporter, "_scan", watched)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        runs = [  # (call, its result, whether it builds witnesses)
+            (lambda: min_volume_tetrahedra(prism).count, 576, True),
+            (lambda: min_volume_tetrahedra(prism, witnesses=False).count, 576, False),
+            (lambda: min_area_triangles(gen_lattice2d(25)).count > 0, True, True),
+            (lambda: run(capsys, "minvol", prism_path, *flags)[0], 0, True),
+            (lambda: run(capsys, "minvol", coplanar_path, *flags)[0], 3, True),
+        ]
+        for call, expected, paused in runs:
+            assert call() == expected
+            assert during.pop() is (enabled and not paused)
+            assert gc.isenabled() is enabled
+        with pytest.raises(simplexvol.AllDegenerate):
+            min_volume_tetrahedra(parse_point_file(COPLANAR))
+        assert during.pop() is False and gc.isenabled() is enabled
+        monkeypatch.setattr(charging, "_charge", one_face)
+        assert run(capsys, "minvol", prism_path, *flags)[0] == 4
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_minarea(tmp_path, capsys):

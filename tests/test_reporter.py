@@ -17,6 +17,7 @@ from simplexvol import (
     DegenerateInput,
     PointSet,
     empty_slabs,
+    gen_lattice2d,
     gen_lattice_slab3d,
     gen_min_ksimplex_lines,
     gen_min_tetra_prism,
@@ -759,3 +760,22 @@ def test_apex_over_a_planar_set_lifts_the_2d_report():
         assert report_3d.n_planes == report_2d.n_lines + 1
         spanning += 1
     assert spanning > 100
+
+
+@pytest.mark.parametrize("ps", [
+    gen_min_tetra_prism(32).points,
+    gen_lattice_slab3d(18),
+    gen_lattice2d(36),
+], ids=["prism32", "lattice-slab18", "lattice2d-36"])
+def test_scan_ties_list_their_face_first_and_ascending(ps):
+    """_rows sorts a tie by ordering its last two sites only: every tie of
+    _scan is its face's sites, ascending, then the two apexes after them."""
+    dim = ps.dim
+    coords, _ = integer_coordinates(ps)
+    pts, idx = reporter._sites([p + (0,) * (3 - dim) for p in coords], range(len(ps)))
+    ties = _scan(pts, [len(i) for i in idx], dim, True)[3]
+    assert ties
+    for tie in ties:
+        face, (c, d) = tie[:-2], tie[-2:]
+        assert len(face) == dim - 1
+        assert list(face) == sorted(face) and face[-1] < min(c, d) and c != d, tie
