@@ -145,12 +145,28 @@ def verify_charging(ps: PointSet,
     of charges per face and per (face, side).
 
     When witnesses is None the minimum-volume set is computed by the
-    brute-force oracle.  Raises ChargingBoundExceeded if the four-per-face /
-    two-per-side bounds are exceeded.
+    brute-force oracle.  The bounds are about tetrahedra of distinct points,
+    so on a set with coincident points each witness is taken at the first
+    index of each of its points, and each distinct tetrahedron is charged
+    once; n_witnesses stays the number of witnesses given.  Raises
+    ChargingBoundExceeded if the four-per-face / two-per-side bounds are
+    exceeded.
     """
     if witnesses is None:
         witnesses = min_volume_simplices(ps, 3).witnesses
+    n_witnesses = len(witnesses)
     coords, _ = integer_coordinates(ps)
+    if len(set(coords)) < len(coords):
+        first: dict[tuple[int, ...], int] = {}
+        at = [first.setdefault(p, i) for i, p in enumerate(coords)]
+        distinct = set()
+        for tet in witnesses:
+            tet = as_simplex(tet, len(ps))
+            points = tuple(sorted({at[i] for i in tet}))
+            if len(points) < len(tet):
+                raise DegenerateInput(f"tetrahedron {tet} is degenerate")
+            distinct.add(points)
+        witnesses = distinct
     per_face: dict[tuple[int, int, int], int] = {}
     per_side: dict[tuple[tuple[int, int, int], str], int] = {}
     for tet in witnesses:
@@ -161,7 +177,7 @@ def verify_charging(ps: PointSet,
     check = ChargingCheck(
         max_per_face=max(per_face.values(), default=0),
         max_per_face_side=max(per_side.values(), default=0),
-        n_witnesses=len(witnesses),
+        n_witnesses=n_witnesses,
     )
     if check.max_per_face > 4 or check.max_per_face_side > 2:
         raise ChargingBoundExceeded(

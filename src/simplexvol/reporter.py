@@ -14,8 +14,7 @@ sites, and draws W from the later sites c.  In 2D the face is a site a and
 W = c - a.  In 3D it is an edge a < b: projected along b - a, the volume is
 |b - a| times the area of the projected triangle over three, so W is the
 projection of c - a.  The spanned lines or planes are counted from the same
-pass.  A plane of a 3D set is scanned as a 2D set after its points are
-projected onto a coordinate plane.
+pass.
 
 The faces are taken with their first site descending, so a site's own faces
 are done before it ends a face.  Each face then builds its classes only from
@@ -27,9 +26,17 @@ or plane and its nearest points on one side (its empty slab).  A
 minimum-volume tetrahedron is a minimum-area triangle of a plane with a
 nearest point on one side, once for each of its four faces, so the face
 products sum to four times the count.  The 2D analogue counts every
-minimum-area triangle once per side and divides by three.  Candidate measures
-are compared exactly as integer cross-products; reported values are exact
-rationals.
+minimum-area triangle once per side and divides by three.
+
+Every result is exact.  Candidate measures are compared as integer cross
+products, and reported values are exact rationals.  Only the angle order of
+a face's directions uses floats: each direction is keyed by its slope
+wy / wx, a quotient of two ints that Python rounds correctly.  Rounding is
+monotone, so directions with different floats are in their exact order, and
+two directions share a float only when an entry of W exceeds about 2^26.  A
+run of equal floats is checked with integer cross products, and a face where
+that check fails, or where a slope is beyond the floats, is keyed again by
+exact Fractions (_window_pairs).
 
 On random points most faces are settled without pairing, by the
 neighbour-gap certificate of _window_pairs, so a scan costs about the
@@ -48,10 +55,11 @@ import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter, mul
 from typing import Iterable
 
+from .bruteforce import rich_lines
 from .exact import (
     AllDegenerate,
     DegenerateInput,
@@ -161,8 +169,10 @@ class MinAreaReport:
 # ---------------------------------------------------------------------------
 # scaled-integer internals
 
+_VERTICAL = -math.inf  # the key of the directions with wx == 0, below every slope
 
-def _window_pairs(view, a, u, heads, tails, weight, scale_k, vertical, best, collect):
+
+def _window_pairs(view, a, u, heads, tails, weight, best, collect):
     """Least positive |det(u, c - a, d - a)|, at most best, over the later
     sites c, d of view, returned as (least, count, ties, n_lone, multi,
     axis).  view holds the sites as integer (i, j, k) triples and u is an
@@ -180,10 +190,21 @@ def _window_pairs(view, a, u, heads, tails, weight, scale_k, vertical, best, col
     key of each class with two or more members to its member sites, and
     axis lists the sites with W == 0 in order, which are in no class.  A
     class that is one ray, a head and the sites behind it, is in neither.
-    The key of a direction is floor(wy * scale_k / wx), or vertical for
-    wx == 0.  The keys are exact when scale_k exceeds the square of every
-    entry of W, as distinct slopes then differ by more than 1 / scale_k, and
-    vertical must be below every other key.
+
+    The key of a direction is its slope wy / wx as a float, or -inf for
+    wx == 0: in the half-plane wx > 0 or wx == 0 > wy, slope order is angle
+    order.  Python divides two ints with correct rounding, which is
+    monotone, so directions whose keys differ are in the order of their
+    keys, and parallel W, of equal slopes, share a key.  Only a run of equal
+    keys needs an exact look: it is one class when every W in it has
+    W x W_p == 0 with the run's first W_p.  Two different slopes of W
+    entries below 2^26 in size differ by more than the spacing of their
+    floats, so the check can fail only on larger entries; then, or when a
+    quotient is too large for a float, the face is keyed again by the exact
+    Fraction(wy, wx).  One sort of the (key, |W|^2, site, W) of the heads
+    brings each class together, shortest first, and one pass over it forms
+    the classes and multi and runs the certificate below; a tail finds its
+    head's class by the same key.
 
     W is linear and W_b = 0, so W_c is the W of c - b, and a site c behind h
     on a ray from b, c = b + t (h - b) with t > 1, has W_c = t W_h.  It is in
@@ -203,13 +224,14 @@ def _window_pairs(view, a, u, heads, tails, weight, scale_k, vertical, best, col
     where the pair's angle is at most a right angle, so
     |W_x x W_z| >= r_x sin theta >= min(r_x, r_y) sin theta; as
     cr^2 = r_x r_y sin^2 theta for p, q = x, y, the inequality says that
-    the last term exceeds bound.  Otherwise the classes are paired shortest
-    first with their neighbours up to a right angle on each side, and each
-    is deleted once paired.  Past a neighbour z at angle theta,
+    the last term exceeds bound.  Otherwise a second pass makes one record
+    per class, and the classes are paired shortest first with their
+    neighbours up to a right angle on each side, and each is deleted once
+    paired.  Past a neighbour z at angle theta,
     |W_x x W_z|^2 = r_x r_z sin^2 theta >= r_x^2 sin^2 theta (r_z >= r_x)
     only grows, so a side stops once that bound exceeds the running
-    minimum.  The classes are kept in one half-plane in angle order, so
-    W_x x W_z > 0 iff z comes later in that order, on either side and
+    minimum.  The records keep the classes in one half-plane in key order,
+    so W_x x W_z > 0 iff z comes later in that order, on either side and
     across the wrap; and W_x x W_z, like bound, is a multiple of |u_k|.
     Memory is O(len(view)) plus the ties.
     """
@@ -217,48 +239,61 @@ def _window_pairs(view, a, u, heads, tails, weight, scale_k, vertical, best, col
     ai, aj, ak = view[a]
     e0, e1 = ui * ak - uk * ai, uj * ak - uk * aj
     size = abs(uk)
-    # each class is [r, wx, wy, weight, sites]: r = |W|^2 of its shortest
-    # vectors, one of them, and the summed weight and the sites at that length
-    classes: dict[int, list] = {}
-    multi: dict[int, list[int]] = {}
-    axis = []
-    for c in heads:
-        ci, cj, ck = view[c]
-        wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
-        if wx:
-            key = wy * scale_k // wx
-        elif wy:
-            key = vertical
-        else:
-            axis.append(c)
+    bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
+    bound_sq = bound * bound
+    exact = False  # float keys until they fail
+    while True:
+        items, axis = [], []
+        try:
+            for c in heads:
+                ci, cj, ck = view[c]
+                wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
+                if wx:
+                    items.append((Fraction(wy, wx) if exact else wy / wx,
+                                  wx * wx + wy * wy, c, wx, wy))
+                elif wy:
+                    items.append((_VERTICAL, wy * wy, c, 0, wy))
+                else:
+                    axis.append(c)
+        except OverflowError:  # a slope beyond the floats
+            exact = True
             continue
-        r = wx * wx + wy * wy
-        if key in classes:
-            cls = classes[key]
-            members = multi.get(key)
-            if members is None:
-                multi[key] = [cls[4][0], c]  # a lone member is its own shortest
-            else:
-                members.append(c)
-            if r >= cls[0]:
-                if r == cls[0]:
-                    cls[3] += weight[c]
-                    cls[4].append(c)
+        items.sort()
+        # one pass in key order: each class's first item is its shortest, W_p;
+        # the certificate compares it with the previous class's W_p
+        multi = {}
+        key = None
+        n_cls = n_lone = 0
+        settled = True
+        for s, r, c, wx, wy in items:
+            if s == key:
+                if wx * py != wy * px:
+                    break  # two directions share a float
+                if members is None:
+                    members = multi[s] = [c0, c]
+                    n_lone -= 1
+                else:
+                    members.append(c)
                 continue
-        # stored in the half-plane wx > 0 or wx == 0 > wy, whose angle order
-        # is the key order
-        if wx < 0 or (wx == 0 and wy > 0):
-            wx, wy = -wx, -wy
-        classes[key] = [r, wx, wy, weight[c], [c]]
-    n_cls = len(classes)
-    n_lone = n_cls - len(multi)
+            if not n_cls:
+                fx, fy, fr = wx, wy, r
+            elif settled:
+                cr = px * wy - py * wx
+                if cr * cr * (rp if rp < r else r) <= bound_sq * (r if rp < r else rp):
+                    settled = False
+            key, px, py, rp, c0, members = s, wx, wy, r, c, None
+            n_cls += 1
+            n_lone += 1
+        else:
+            break
+        exact = True
     for h, behind in tails:
         hi, hj, hk = view[h]
         wx, wy = uk * hi - ui * hk + e0, uk * hj - uj * hk + e1
         if wx:
-            key = wy * scale_k // wx
+            key = Fraction(wy, wx) if exact else wy / wx
         elif wy:
-            key = vertical
+            key = _VERTICAL
         else:
             axis += behind  # the one ray of the axis: h, then the sites behind it
             continue
@@ -271,18 +306,26 @@ def _window_pairs(view, a, u, heads, tails, weight, scale_k, vertical, best, col
     ties = []
     if n_cls < 2:
         return best, count, ties, n_lone, multi, axis
-    recs = [classes[key] for key in sorted(classes)]  # in angle order
-    bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
-    bound_sq = bound * bound
-    # the neighbour-gap certificate: no pair reaches bound
-    rp, px, py, _, _ = recs[-1]
-    for rq, qx, qy, _, _ in recs:
-        cr = px * qy - py * qx
-        if cr * cr * (rp if rp < rq else rq) <= bound_sq * (rq if rp < rq else rp):
-            break
-        rp, px, py = rq, qx, qy
-    else:
-        return best, count, ties, n_lone, multi, axis
+    if settled:  # the wrap: the last class and the first
+        cr = px * fy - py * fx
+        if cr * cr * (rp if rp < fr else fr) > bound_sq * (fr if rp < fr else rp):
+            return best, count, ties, n_lone, multi, axis
+    # each record is [r, wx, wy, weight, sites]: r = |W|^2 of the class's
+    # shortest vectors, one of them in the half-plane wx > 0 or wx == 0 > wy,
+    # whose angle order is the key order, and the summed weight and the
+    # sites at that length
+    recs = []
+    key = None
+    for s, r, c, wx, wy in items:
+        if s == key:
+            if r == rec[0]:
+                rec[3] += weight[c]
+                rec[4].append(c)
+            continue
+        if wx < 0 or (wx == 0 and wy > 0):
+            wx, wy = -wx, -wy
+        key, rec = s, [r, wx, wy, weight[c], [c]]
+        recs.append(rec)
     # the classes linked in a cycle
     nxt = list(range(1, n_cls)) + [0]
     prv = [n_cls - 1] + list(range(n_cls - 1))
@@ -396,8 +439,6 @@ def _scan(pts, weight, dim, collect):
     ties = []
     if dim == 2:
         view, u = pts, (0, 0, 1)
-        scale_k = span * span + 1  # W = c - a has entries at most span
-        vertical = -span * scale_k - 1
     else:
         # the coordinates as (i, j, k) with k the dropped one
         views = [[(p[1], p[2], p[0]) for p in pts], [(p[0], p[2], p[1]) for p in pts], pts]
@@ -418,13 +459,8 @@ def _scan(pts, weight, dim, collect):
                 view = views[0 if dx >= dy and dx >= dz else 1 if dy >= dz else 2]
                 (ai, aj, ak), (bi, bj, bk) = view[a], view[b]
                 u = bi - ai, bj - aj, bk - ak
-                # W's entries are at most mag in size, as |u_k| is u's largest
-                # and no coordinate spans more than span
-                mag = 2 * abs(u[2]) * span
-                scale_k = mag * mag + 1
-                vertical = -mag * scale_k - 1
             least, pairs, tied, n_lone, multi, axis = _window_pairs(
-                view, a, u, heads[b], tails[b], weight, scale_k, vertical, best, collect)
+                view, a, u, heads[b], tails[b], weight, best, collect)
             if len(axis) < 2:
                 n_flats += n_lone * (-1 if axis else 1)
                 if dim == 3:
@@ -728,10 +764,12 @@ def min_area_triangles_in_plane(ps: PointSet,
                                 indices: Iterable[int] | None = None) -> PlaneSummary:
     """Minimum-nonzero-area triangles among a coplanar subset.
 
-    The subset must lie in a common plane (trivially true for 2D input).  Its
-    points are projected onto the coordinate plane that drops the largest
-    entry N_k of the plane's normal N, which scales every area by |N_k| / |N|
-    and keeps everything else, and then scanned as in min_area_triangles.
+    The subset must lie in a common plane (trivially true for 2D input).  A
+    reference for the reporters' per-plane records that shares no code with
+    their scan: every triple of the subset is measured by the cross product
+    of its edges on the denominator-cleared integer coordinates, and the
+    lines are counted by bruteforce.rich_lines on the subset.  O(k^3) for k
+    points.
     """
     if ps.dim not in (2, 3):
         raise DimensionMismatch("min-area scan supports 2D and 3D point sets")
@@ -748,22 +786,26 @@ def min_area_triangles_in_plane(ps: PointSet,
             if not key.contains(ps.points[i]):
                 raise DegenerateInput(f"point {i} is not on the plane of the others")
     coords, scale = integer_coordinates(ps)
-    # a 2D set is the plane z == 0, whose dropped coordinate is absent
-    normal = key.normal if key else (0, 0, 1)
-    k = max(range(3), key=lambda c: abs(normal[c]))
-    view, sites = _sites({i: coords[i][:k] + coords[i][k + 1:] + (0,) for i in idx}, idx)
-    cross, count, n_lines, tris = _scan(view, [len(s) for s in sites], 2, True)
-    if not count:
+    pts = {i: coords[i] + (0,) * (3 - ps.dim) for i in idx}
+    least, witnesses = 0, []
+    for tri in combinations(idx, 3):
+        normal = face_normal([pts[i] for i in tri])[0]
+        sq = sum(map(mul, normal, normal))  # (2 area scale^2)^2
+        if sq and (sq <= least or not least):
+            if sq != least:
+                least, witnesses = sq, []
+            witnesses.append(tri)
+    if not least:
         raise AllDegenerate("all incident points are collinear")
+    subset = PointSet([ps.points[i] for i in idx], dim=ps.dim, allow_duplicates=True)
     return PlaneSummary(
         key=key,
         incident=tuple(idx),
         n_points=len(idx),
-        n_lines=n_lines,
-        min_area_sq=Fraction(cross * cross * sum(c * c for c in normal),
-                             4 * normal[k] ** 2 * scale ** 4),
-        count=count,
-        witnesses=tuple(_expand(tris, sites, len(view) == len(idx))),
+        n_lines=len(rich_lines(subset, 2).lines),
+        min_area_sq=Fraction(least, 4 * scale ** 4),
+        count=len(witnesses),
+        witnesses=tuple(witnesses),
     )
 
 

@@ -155,3 +155,24 @@ def test_verify_charging_validates_every_witness():
         verify_charging(ps, [good, (0, 1, 2, 2)])
     with pytest.raises(DegenerateInput, match="tetrahedron"):
         verify_charging(ps, [good, (0, 1, 2)])
+
+
+def test_verify_charging_charges_each_tetrahedron_of_coincident_points_once():
+    # the prism with copies of its first three points: the oracle lists one
+    # witness per choice among coincident points, and the bounds hold for
+    # the distinct tetrahedra, which are the prism's own
+    prism = gen_min_tetra_prism(16).points
+    ps = PointSet(list(prism.points) + list(prism.points[:3]), allow_duplicates=True)
+    witnesses = min_volume_simplices(ps, 3).witnesses
+    assert len(witnesses) == 1128
+    check = verify_charging(ps, witnesses)
+    assert check == verify_charging(ps)
+    distinct = verify_charging(prism)
+    assert (check.max_per_face, check.max_per_face_side) == (
+        distinct.max_per_face, distinct.max_per_face_side) == (3, 2)
+    assert check.n_witnesses == 1128
+    # a witness of a copy is validated like any other
+    with pytest.raises(ValueError, match="out of range"):
+        verify_charging(ps, [witnesses[0], (0, 1, 2, len(ps))])
+    with pytest.raises(DegenerateInput, match="degenerate"):
+        verify_charging(ps, [witnesses[0], (0, 1, 2, len(prism))])  # the copy of point 0

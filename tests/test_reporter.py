@@ -198,8 +198,7 @@ class TestMinAreaInPlane:
 
     def test_tilted_planes_match_oracle(self):
         # an affine map into a tilted plane with mixed-denominator axes keeps
-        # ratios of areas, collinearity and ties; the in-plane scan drops the
-        # normal's largest coordinate and rescales the area by |N|^2 / N_k^2
+        # ratios of areas, collinearity and ties
         checked = 0
         for seed in range(40):
             rnd = random.Random(seed)
@@ -279,8 +278,9 @@ DUPLICATES_3D = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1),
 
 
 def check_contributing_3d(ps):
-    """Each contributing (plane, slab) pair equals the plane's own in-plane
-    scan and the matching side of its empty slabs, the pairs are the
+    """Each contributing (plane, slab) pair equals the plane's exhaustive
+    reference, min_area_triangles_in_plane, which shares no code with the
+    scan, and the matching side of its empty slabs, the pairs are the
     (plane, side) of the faces of the oracle's witnesses, and they come in
     the order the CLI prints them: by the primitive normal g = N / gcd(N) of
     the key (N, o), then by o / gcd(N), "below" first.  On integer sets that
@@ -779,3 +779,79 @@ def test_scan_ties_list_their_face_first_and_ascending(ps):
         face, (c, d) = tie[:-2], tie[-2:]
         assert len(face) == dim - 1
         assert list(face) == sorted(face) and face[-1] < min(c, d) and c != d, tie
+
+
+# Sets whose directions the float slopes cannot order.  From (0, 0) the
+# slopes of (2^60, 2^60 + 1) and (3 * 2^60, 3 * 2^60 + 1) both round to 1.0,
+# and (1, 2^1100) has a slope beyond the floats; the 3D twins put the same
+# sites at z == 0 behind the edge from (0, 0, 0) to (0, 0, 1), whose W are the
+# sites' (x, y).
+SHARED_FLOAT_2D = [(0, 0), (1, 1), (2, 1), (2 ** 60, 2 ** 60 + 1), (3 * 2 ** 60, 3 * 2 ** 60 + 1)]
+BEYOND_FLOATS_2D = [(0, 0), (1, 0), (0, 1), (2, 3), (1, 2 ** 1100)]
+
+
+@pytest.mark.parametrize("rows", [SHARED_FLOAT_2D, BEYOND_FLOATS_2D],
+                         ids=["shared-float", "beyond-floats"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slopes_past_the_floats_are_ordered_exactly(rows, dim):
+    if dim == 2:
+        ps = PointSet(rows)
+        report = min_area_triangles(ps)
+        measure_sq, n_flats = report.min_area_sq, spanned_line_count(ps)
+    else:
+        ps = PointSet([(0, 0, 1)] + [(x, y, 0) for x, y in rows])
+        report = min_volume_tetrahedra(ps)
+        measure_sq, n_flats = report.min_volume_sq, len(spanned_planes(ps))
+    oracle = min_volume_simplices(ps, dim)
+    assert (measure_sq, report.count, report.witnesses) == (
+        oracle.min_squared_volume, oracle.count, oracle.witnesses)
+    assert (report.n_lines if dim == 2 else report.n_planes) == n_flats
+
+
+def _mapped(ps, seed):
+    """ps under x -> M x + t with M a random integer matrix of det +-1 and t
+    a small rational translation, its points permuted; returns the mapped
+    set and, per mapped index, the index of its point in ps."""
+    rng = random.Random(seed)
+    dim = ps.dim
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(2 * dim):  # shears keep det == 1
+        i, j = rng.sample(range(dim), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    m = [[-a for a in row] if rng.random() < 0.5 else row for row in rng.sample(m, dim)]
+    t = [F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim)]
+    back = rng.sample(range(len(ps)), len(ps))
+    rows = [[sum(map(mul, row, ps.points[i])) + c for row, c in zip(m, t)] for i in back]
+    return PointSet(rows, dim=dim, allow_duplicates=True), back
+
+
+def _shapes(report):
+    """The multiset of record shapes: witnesses, points (and lines) of each
+    flat, and nearest points of each side; sides and keys depend on the map."""
+    if isinstance(report, reporter.MinVolumeReport):
+        return sorted((s.count, s.n_points, s.n_lines, r.count) for s, r in report.contributing)
+    return sorted((s.count, s.n_points, r.count) for s, r in report.contributing)
+
+
+@pytest.mark.parametrize("ps, witnesses", [
+    (gen_min_tetra_prism(64).points, True),
+    (gen_min_tetra_prism(128).points, False),
+    (gen_lattice_slab3d(32), True),
+    (gen_lattice2d(100), True),
+], ids=["prism64", "prism128", "lattice-slab32", "lattice2d-100"])
+def test_reports_survive_unimodular_maps(ps, witnesses):
+    """A map x -> M x + t with det M == +-1 keeps every volume, and a
+    permutation of the points renames them.  Both change the sort order of
+    the sites, and with it every face, ray table and view of the scan, at
+    sizes beyond the oracle's reach."""
+    reporter_of = min_volume_tetrahedra if ps.dim == 3 else min_area_triangles
+    report = reporter_of(ps, witnesses=witnesses)
+    mapped, back = _mapped(ps, seed=len(ps))
+    other = reporter_of(mapped, witnesses=witnesses)
+    fields = ("min_volume", "count", "n_planes") if ps.dim == 3 else ("min_area", "count", "n_lines")
+    assert [getattr(other, f) for f in fields] == [getattr(report, f) for f in fields]
+    if witnesses:
+        assert sorted(tuple(sorted(back[j] for j in w)) for w in other.witnesses) == list(
+            report.witnesses)
+        assert _shapes(other) == _shapes(report)
