@@ -10,6 +10,7 @@ input, 4 verification failed (oracle mismatch or charging bound exceeded).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -28,7 +29,7 @@ from .reporter import (_gc_paused, _minimal, _n_lines, _rows, min_area_triangles
                        min_volume_tetrahedra)
 
 SCHEMA_VERSION = 3
-ORACLE_SIZE_LIMIT = 30  # brute force above this is ~n^4 and is refused
+ORACLE_SIZE_LIMIT = 30  # points; the brute force is ~n^4 (n^3 in 2D) and is refused above
 # The package reads no environment variable; perfbench/bench.py still clears
 # this former thread-count setting before it runs, so the name stays.
 THREADS_ENV = "SIMPLEXVOL_THREADS"
@@ -155,20 +156,39 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _oracle_budget(ps: PointSet) -> None:
+    """Refuse the brute-force oracle, which visits all C(n, d + 1) subsets,
+    above ORACLE_SIZE_LIMIT points."""
+    if len(ps) > ORACLE_SIZE_LIMIT:
+        raise ValueError(f"refusing brute-force oracle on {len(ps)} points "
+                         f"(limit {ORACLE_SIZE_LIMIT})")
+
+
 def cmd_minvol(args) -> int:
     ps = load_point_file(args.input)
     if ps.dim != 3:
         raise ValueError(f"minvol needs a 3D point file, got dim {ps.dim}")
+    if args.oracle:
+        _oracle_budget(ps)
+    witness_run = args.report_witnesses or args.oracle or args.check_charging
+    # A witness run keeps the cyclic garbage collector paused, as the
+    # library's witness build does, over the solve, the oracle, the charging
+    # check and the JSON encoding, which all run while the witness list is
+    # alive.  They run in _minvol, whose objects are freed when it returns,
+    # so no deferred collection walks them once the collector resumes.
+    with _gc_paused() if witness_run else contextlib.nullcontext():
+        return _minvol(ps, args, witness_run)
+
+
+def _minvol(ps, args, witness_run) -> int:
     start = time.perf_counter()
     # Runs without witnesses call the public reporter, the name through which
     # perfbench traces the reporter; witness runs build the contributing
-    # records only when they print them, and then straight as JSON, with the
-    # cyclic garbage collector paused as in the library's witness build.
-    if args.report_witnesses or args.oracle or args.check_charging:
-        with _gc_paused():
-            vol, count, n_planes, wit, solved = _minimal(ps, 3, True)
-            if args.report_witnesses:
-                contributing = _contributing_json(*solved)
+    # records only when they print them, and then straight as JSON.
+    if witness_run:
+        vol, count, n_planes, wit, solved = _minimal(ps, 3, True)
+        if args.report_witnesses:
+            contributing = _contributing_json(*solved)
     else:
         report = min_volume_tetrahedra(ps, witnesses=False)
         vol, count, n_planes = report.min_volume, report.count, report.n_planes
@@ -204,10 +224,17 @@ def cmd_minarea(args) -> int:
     ps = load_point_file(args.input)
     if ps.dim != 2:
         raise ValueError(f"minarea needs a 2D point file, got dim {ps.dim}")
+    if args.oracle:
+        _oracle_budget(ps)
+    witness_run = args.report_witnesses or args.oracle
+    with _gc_paused() if witness_run else contextlib.nullcontext():  # as in minvol
+        return _minarea(ps, args, witness_run)
+
+
+def _minarea(ps, args, witness_run) -> int:
     start = time.perf_counter()
-    if args.report_witnesses or args.oracle:  # as in minvol; minarea prints no records
-        with _gc_paused():
-            area, count, n_lines, wit, _ = _minimal(ps, 2, True)
+    if witness_run:  # minarea prints no records
+        area, count, n_lines, wit, _ = _minimal(ps, 2, True)
     else:
         report = min_area_triangles(ps, witnesses=False)
         area, count, n_lines = report.min_area, report.count, report.n_lines

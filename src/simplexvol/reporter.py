@@ -21,6 +21,14 @@ are done before it ends a face.  Each face then builds its classes only from
 the later sites that come first on their ray from its last site: a site
 behind another on such a ray is never in a minimal pair (_window_pairs).
 
+The scan runs on per-axis reduced coordinates: each axis translated to
+start at 0 and divided by the gcd of its offsets, which divides every
+full-dimensional det by one factor and keeps the site order, the ties and
+the spanned flats.  So the scan's integers are as small as the grid and
+the spread of each axis allow, whatever the common lcm scale and the origin.
+In-plane areas and slab distances do not scale by one factor under a
+per-axis map, so the records below use the uniformly scaled coordinates.
+
 The faces and apexes of the tied simplices then give each contributing line
 or plane and its nearest points on one side (its empty slab).  A
 minimum-volume tetrahedron is a minimum-area triangle of a plane with a
@@ -375,6 +383,25 @@ def _collinear(pts, sites):
     return True
 
 
+def _reduced(pts):
+    """The integer sites pts with each axis translated so that its least
+    value is 0 and divided by the gcd of its offsets (1 for a constant
+    axis), and the product of those gcds.  The map is strictly increasing
+    on each axis, so it keeps the sort order of the sites and which of them
+    are collinear or coplanar, and it divides every full-dimensional det by
+    the product."""
+    axes, factor = [], 1
+    for axis in zip(*pts):
+        lo = min(axis)
+        offsets = [c - lo for c in axis]
+        g = math.gcd(*offsets)
+        if g > 1:
+            offsets = [c // g for c in offsets]
+        axes.append(offsets)
+        factor *= g or 1
+    return list(zip(*axes)), factor
+
+
 def _scan(pts, weight, dim, collect):
     """Least positive |det| over the simplices of the (x, y, z)-sorted
     distinct sites pts, returned as (det, count, n_flats, ties): det is twice
@@ -383,6 +410,11 @@ def _scan(pts, weight, dim, collect):
     index (dim + 1)-subsets attaining det, with weight the input points per
     site (0 when none spans), n_flats the number of spanned lines (2D) or
     planes (3D), and ties, with collect, lists the tied site simplices.
+
+    It runs on the per-axis reduced sites of _reduced, with smaller
+    integers, and multiplies the least det back by their factor; the site
+    indices stay, so the ties are those of pts, on which the records are
+    built.
 
     Each simplex is found once, at its face of dim - 1 smallest sites, by
     _window_pairs along u over the later sites, whose classes are the flats
@@ -431,8 +463,9 @@ def _scan(pts, weight, dim, collect):
     is the one-member term alone.  Larger classes add nothing in 2D, and the
     3D terms, which would count them as a, M_P lie on their line, are skipped.
     """
+    pts, factor = _reduced(pts)
     m = len(pts)
-    span = max(max(p[c] for p in pts) - min(p[c] for p in pts) for c in range(3))
+    span = max(map(max, pts))  # every reduced axis starts at 0
     # above every |det|: 2 span^2 in 2D, (3 span^2)^(3/2) in 3D
     best = math.factorial(dim) * span ** dim + 1
     count = n_flats = 0
@@ -482,7 +515,7 @@ def _scan(pts, weight, dim, collect):
         if rays:
             heads[a] = [c for c in heads[a] if c not in shadowed]
             tails[a] = rays
-    return best, count, n_flats, ties
+    return best * factor, count, n_flats, ties
 
 
 def _sites(coords, indices):

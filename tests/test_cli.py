@@ -136,6 +136,33 @@ def test_gen_out_directory_exits_2(tmp_path, capsys):
                                "--out", str(tmp_path)))
 
 
+def test_minvol_constant_axis_exits_3(tmp_path, capsys):
+    # y is one value off the origin: the scan reduces it to 0 with factor 1
+    path = write_points(tmp_path, "wall.txt", "dim 3\n" + "".join(
+        f"{x} 7/3 {z}\n" for x in range(3) for z in range(-2, 2)))
+    code, out, err = run(capsys, "minvol", path, "--report-witnesses")
+    assert code == 3 and out == ""
+    assert err == "error: all points are coplanar\n"
+
+
+@pytest.mark.parametrize("command, dim", [("minvol", 3), ("minarea", 2)])
+def test_oracle_refused_above_limit(tmp_path, capsys, monkeypatch, command, dim):
+    def no_oracle(ps, k):
+        raise AssertionError("brute force run")
+
+    at_limit, above = (str(tmp_path / f"{n}.txt") for n in ("at", "above"))
+    write_point_file(at_limit, gen_random_rational(cli.ORACLE_SIZE_LIMIT, dim, 2), [])
+    write_point_file(above, gen_random_rational(cli.ORACLE_SIZE_LIMIT + 1, dim, 2), [])
+    code, out, _ = run(capsys, command, at_limit, "--oracle")
+    assert code == 0 and report_of(out)["results"]["oracle"]["match"] is True
+    monkeypatch.setattr(bruteforce, "min_volume_simplices", no_oracle)
+    code, out, err = run(capsys, command, above, "--oracle", "--report-witnesses")
+    assert_one_error_line(code, out, err)
+    assert f"limit {cli.ORACLE_SIZE_LIMIT}" in err
+    # without the oracle the same file is solved
+    assert run(capsys, command, above, "--report-witnesses")[0] == 0
+
+
 def test_minvol_oracle_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     path = write_points(tmp_path, "tetra.txt",
                         "dim 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
@@ -296,6 +323,67 @@ def test_witness_runs_pause_and_restore_the_collector(tmp_path, capsys, monkeypa
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("command", ["minvol", "minarea"])
+def test_oracle_charging_and_encoding_run_with_the_collector_paused(tmp_path, capsys,
+                                                                    monkeypatch, command):
+    # they run while the witness list is alive, so they stay in the paused block
+    ps = gen_min_tetra_prism(16).points if command == "minvol" else gen_lattice2d(25)
+    path = str(tmp_path / "points.txt")
+    write_point_file(path, ps, [])
+    seen = {}
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            seen[name] = gc.isenabled()
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bruteforce, "min_volume_simplices",
+                        watched("oracle", bruteforce.min_volume_simplices))
+    monkeypatch.setattr(cli, "verify_charging", watched("charging", cli.verify_charging))
+    monkeypatch.setattr(cli, "_emit", watched("emit", cli._emit))
+    flags = ["--oracle", "--report-witnesses"] + ["--check-charging"] * (command == "minvol")
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert run(capsys, command, path, *flags)[0] == 0
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == dict(oracle=False, emit=False, **{"charging": False} if command == "minvol"
+                        else {})
+
+
+@pytest.mark.parametrize("command, ps, flags", [
+    ("minvol", gen_min_tetra_prism(16).points, ["--oracle", "--report-witnesses", "--check-charging"]),
+    ("minarea", gen_lattice2d(100), ["--report-witnesses"]),
+], ids=["minvol", "minarea"])
+def test_no_collection_walks_the_witnesses_after_a_run(tmp_path, capsys, command, ps, flags):
+    # the run's objects are freed before the collector resumes, so a
+    # collection at its end finds a young generation smaller than the
+    # witness list alone
+    path = str(tmp_path / "points.txt")
+    write_point_file(path, ps, [])
+    code, out, _ = run(capsys, command, path, *flags)  # warms every cache
+    n_witnesses = len(report_of(out)["results"]["witnesses"])
+    young = []
+
+    def record(phase, info):
+        if phase == "start":
+            young.append(len(gc.get_objects(0)))
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        for _ in range(3):
+            assert run(capsys, command, path, *flags)[0] == 0
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert all(n < n_witnesses for n in young), (young, n_witnesses)
 
 
 def test_minarea(tmp_path, capsys):

@@ -771,9 +771,8 @@ def test_scan_ties_list_their_face_first_and_ascending(ps):
     """_rows sorts a tie by ordering its last two sites only: every tie of
     _scan is its face's sites, ascending, then the two apexes after them."""
     dim = ps.dim
-    coords, _ = integer_coordinates(ps)
-    pts, idx = reporter._sites([p + (0,) * (3 - dim) for p in coords], range(len(ps)))
-    ties = _scan(pts, [len(i) for i in idx], dim, True)[3]
+    pts, weight = _scan_sites(ps)
+    ties = _scan(pts, weight, dim, True)[3]
     assert ties
     for tie in ties:
         face, (c, d) = tie[:-2], tie[-2:]
@@ -790,10 +789,17 @@ SHARED_FLOAT_2D = [(0, 0), (1, 1), (2, 1), (2 ** 60, 2 ** 60 + 1), (3 * 2 ** 60,
 BEYOND_FLOATS_2D = [(0, 0), (1, 0), (0, 1), (2, 3), (1, 2 ** 1100)]
 
 
+def _scan_sites(ps):
+    """The sorted sites of ps as _minimal scans them, and their weights."""
+    coords, _ = integer_coordinates(ps)
+    pts, idx = reporter._sites([p + (0,) * (3 - ps.dim) for p in coords], range(len(ps)))
+    return pts, [len(i) for i in idx]
+
+
 @pytest.mark.parametrize("rows", [SHARED_FLOAT_2D, BEYOND_FLOATS_2D],
                          ids=["shared-float", "beyond-floats"])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_slopes_past_the_floats_are_ordered_exactly(rows, dim):
+def test_slopes_past_the_floats_are_ordered_exactly(rows, dim, monkeypatch):
     if dim == 2:
         ps = PointSet(rows)
         report = min_area_triangles(ps)
@@ -802,6 +808,19 @@ def test_slopes_past_the_floats_are_ordered_exactly(rows, dim):
         ps = PointSet([(0, 0, 1)] + [(x, y, 0) for x, y in rows])
         report = min_volume_tetrahedra(ps)
         measure_sq, n_flats = report.min_volume_sq, len(spanned_planes(ps))
+    # every axis starts at 0 with offset gcd 1, so the scan sees these sites
+    # unreduced and keys some face by exact Fractions
+    pts, weight = _scan_sites(ps)
+    assert reporter._reduced(pts) == (pts, 1)
+    exact_keys = []
+
+    def counted(*args):
+        exact_keys.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(reporter, "Fraction", counted)
+    _scan(pts, weight, dim, False)
+    assert exact_keys
     oracle = min_volume_simplices(ps, dim)
     assert (measure_sq, report.count, report.witnesses) == (
         oracle.min_squared_volume, oracle.count, oracle.witnesses)
@@ -855,3 +874,43 @@ def test_reports_survive_unimodular_maps(ps, witnesses):
         assert sorted(tuple(sorted(back[j] for j in w)) for w in other.witnesses) == list(
             report.witnesses)
         assert _shapes(other) == _shapes(report)
+
+
+FAR = 10 ** 20
+
+
+@pytest.mark.parametrize("ps, diagonal, shift", [
+    (gen_min_tetra_prism(64).points, (6, 10, 15), (F(1, 2), F(-2, 3), 1)),
+    (gen_lattice_slab3d(32), (6, 10, 15), (F(-1, 3), 2, F(1, 2))),
+    (gen_lattice2d(100), (4, 9), (F(2, 3), F(-1, 2))),
+    (gen_random_rational(60, 3, seed=3, bound=6), (6, 10, 15), (3, F(1, 3), F(-3, 2))),
+    # far from the origin: every coordinate is a 21-digit integer
+    (gen_random_rational(25, 3, seed=5, bound=40), (1, 1, 1), (FAR, FAR, FAR)),
+    (gen_random_rational(25, 2, seed=5, bound=40), (1, 1), (FAR, FAR)),
+], ids=["prism64", "lattice-slab32", "lattice2d-100", "random60", "far3", "far2"])
+def test_reports_survive_per_axis_maps(ps, diagonal, shift):
+    """A map x -> D x + t with D a positive diagonal scales every volume by
+    det D and keeps the order of the points on each axis, but not in-plane
+    areas or slab distances by one factor: the scan runs on per-axis
+    reduced coordinates, whose gcds and offsets the map changes, and the
+    records on the uniformly scaled ones."""
+    mapped = PointSet([[d * x + t for d, x, t in zip(diagonal, p, shift)] for p in ps.points],
+                      dim=ps.dim)
+    reporter_of = min_volume_tetrahedra if ps.dim == 3 else min_area_triangles
+    measure, flats = ("min_volume", "n_planes") if ps.dim == 3 else ("min_area", "n_lines")
+    report, other = reporter_of(ps), reporter_of(mapped)
+    assert getattr(other, measure) == math.prod(diagonal) * getattr(report, measure)
+    assert (other.count, getattr(other, flats)) == (report.count, getattr(report, flats))
+    assert other.witnesses == report.witnesses
+    assert _shapes(other) == _shapes(report)
+
+
+def test_constant_axis_still_reports_coplanar():
+    """An axis of one value has offset gcd 0, which the reduction takes as 1:
+    at scale 3 the x and z axes have gcd 3 and y adds no factor."""
+    ps = PointSet([(x, F(7, 3), z) for x in range(3) for z in range(-2, 2)])
+    pts, _ = _scan_sites(ps)
+    reduced, factor = reporter._reduced(pts)
+    assert {p[1] for p in reduced} == {0} and factor == 3 * 3
+    with pytest.raises(AllDegenerate, match="all points are coplanar"):
+        min_volume_tetrahedra(ps)
