@@ -30,6 +30,7 @@ from .reporter import (_gc_paused, _minimal, _n_lines, _rows, min_area_triangles
 
 SCHEMA_VERSION = 3
 ORACLE_SIZE_LIMIT = 30  # points; the brute force is ~n^4 (n^3 in 2D) and is refused above
+SUBSET_LIMIT = 10 ** 6  # subsets; count and distinct refuse a brute force that visits more
 # The package reads no environment variable; perfbench/bench.py still clears
 # this former thread-count setting before it runs, so the name stays.
 THREADS_ENV = "SIMPLEXVOL_THREADS"
@@ -164,6 +165,15 @@ def _oracle_budget(ps: PointSet) -> None:
                          f"(limit {ORACLE_SIZE_LIMIT})")
 
 
+def _subset_budget(ps: PointSet, size: int) -> None:
+    """Refuse a brute force over all C(n, size) subsets of ps above
+    SUBSET_LIMIT subsets."""
+    subsets = math.comb(len(ps), size)
+    if subsets > SUBSET_LIMIT:
+        raise ValueError(f"refusing brute force over C({len(ps)}, {size}) = {subsets} "
+                         f"subsets (limit {SUBSET_LIMIT})")
+
+
 def cmd_minvol(args) -> int:
     ps = load_point_file(args.input)
     if ps.dim != 3:
@@ -259,6 +269,7 @@ def _minarea(ps, args, witness_run) -> int:
 
 def cmd_distinct(args) -> int:
     ps = load_point_file(args.input)
+    _subset_budget(ps, ps.dim + 1)
     start = time.perf_counter()
     report = bruteforce.distinct_volumes(ps)
     results = {
@@ -283,6 +294,8 @@ def cmd_count(args) -> int:
     ps = load_point_file(args.input)
     k = args.k if args.k is not None else ps.dim
     target = Fraction(args.volume)
+    if 1 <= k <= ps.dim:  # bruteforce refuses any other k
+        _subset_budget(ps, k + 1)
     start = time.perf_counter()
     report = bruteforce.count_simplices_with_volume(ps, target, k)
     elapsed = time.perf_counter() - start

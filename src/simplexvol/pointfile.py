@@ -29,6 +29,21 @@ def _format_scalar(value: Fraction) -> str:
     return str(value)  # "p/q", or just "p" when the denominator is 1
 
 
+def _parse_scalar(token: str):
+    """The value of one coordinate token: an ASCII ``-?[0-9]+`` by int, an
+    ASCII ``-?[0-9]+/[0-9]+`` by Fraction of two ints, and any other token
+    by Fraction(token), so every token keeps the value or the error that
+    Fraction(token) gives it."""
+    if token.isascii():
+        num, slash, den = token.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return int(num)
+            if den.isdigit():
+                return Fraction(int(num), int(den))
+    return Fraction(token)
+
+
 def parse_point_file(text: str, allow_duplicates: bool = False) -> PointSet:
     dim = None
     rows = []
@@ -52,7 +67,7 @@ def parse_point_file(text: str, allow_duplicates: bool = False) -> PointSet:
             raise ValueError(
                 f"line {lineno}: expected {dim} coordinates, got {len(parts)}")
         try:
-            rows.append(tuple(Fraction(p) for p in parts))
+            rows.append(tuple(map(_parse_scalar, parts)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: bad rational value ({exc})")
     if dim is None:

@@ -232,16 +232,22 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
     where the pair's angle is at most a right angle, so
     |W_x x W_z| >= r_x sin theta >= min(r_x, r_y) sin theta; as
     cr^2 = r_x r_y sin^2 theta for p, q = x, y, the inequality says that
-    the last term exceeds bound.  Otherwise a second pass makes one record
-    per class, and the classes are paired shortest first with their
-    neighbours up to a right angle on each side, and each is deleted once
-    paired.  Past a neighbour z at angle theta,
+    the last term exceeds bound.  Otherwise a second pass writes flat lists
+    indexed by class in key order: r, the shortest W turned into the
+    half-plane wx > 0 or wx == 0 > wy, where angle order is key order, and
+    the summed weight and the sites at that r.  The classes are paired
+    shortest first with their neighbours up to a right angle on each side,
+    and each is deleted once paired.  Past a neighbour z at angle theta,
     |W_x x W_z|^2 = r_x r_z sin^2 theta >= r_x^2 sin^2 theta (r_z >= r_x)
     only grows, so a side stops once that bound exceeds the running
-    minimum.  The records keep the classes in one half-plane in key order,
-    so W_x x W_z > 0 iff z comes later in that order, on either side and
-    across the wrap; and W_x x W_z, like bound, is a multiple of |u_k|.
-    Memory is O(len(view)) plus the ties.
+    minimum.  In the half-plane W_x x W_z > 0 iff z > x, so each side is
+    two runs split at the wrap of the cycle: ahead the classes z > x, and
+    then z < x, which it meets as -W_z; behind z < x, and then z > x as
+    -W_z.  Each run has one fixed sign of the cross product and one fixed
+    break test past the right angle: W_x . W_z < 0 and then > 0 ahead,
+    <= 0 and then >= 0 behind, so the right angle itself is taken ahead
+    only.  W_x x W_z, like bound, is a multiple of |u_k|.  Memory is
+    O(len(view)) plus the ties.
     """
     ui, uj, uk = u
     ai, aj, ak = view[a]
@@ -318,53 +324,107 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
         cr = px * fy - py * fx
         if cr * cr * (rp if rp < fr else fr) > bound_sq * (fr if rp < fr else rp):
             return best, count, ties, n_lone, multi, axis
-    # each record is [r, wx, wy, weight, sites]: r = |W|^2 of the class's
-    # shortest vectors, one of them in the half-plane wx > 0 or wx == 0 > wy,
-    # whose angle order is the key order, and the summed weight and the
-    # sites at that length
-    recs = []
+    # per class, in key order: r = |W|^2 of its shortest vectors, the one of
+    # them (wx, wy) in the half-plane wx > 0 or wx == 0 > wy, whose angle
+    # order is the key order, and the summed weight and the sites at that r
+    rs, xs, ys, ns, ss = [], [], [], [], []
     key = None
     for s, r, c, wx, wy in items:
         if s == key:
-            if r == rec[0]:
-                rec[3] += weight[c]
-                rec[4].append(c)
+            if r == rs[-1]:
+                ns[-1] += weight[c]
+                ss[-1].append(c)
             continue
         if wx < 0 or (wx == 0 and wy > 0):
             wx, wy = -wx, -wy
-        key, rec = s, [r, wx, wy, weight[c], [c]]
-        recs.append(rec)
+        key = s
+        rs.append(r)
+        xs.append(wx)
+        ys.append(wy)
+        ns.append(weight[c])
+        ss.append([c])
     # the classes linked in a cycle
     nxt = list(range(1, n_cls)) + [0]
     prv = [n_cls - 1] + list(range(n_cls - 1))
-    for x in sorted(range(n_cls), key=[rec[0] for rec in recs].__getitem__):
-        rx, x0, x1, nx, sx = recs[x]
-        # each side walks until the vector it meets, W_z or -W_z once the
-        # walk wraps, is past a right angle: its dot with W_x is d . W_z for
-        # z > x and -d . W_z for z < x, with d = W_x ahead and -W_x behind,
-        # and edge keeps the right angle itself ahead only
-        for link, d0, d1, edge in ((nxt, x0, x1, 0), (prv, -x0, -x1, 1)):
-            z = link[x]
-            while z != x:
-                rz, z0, z1, nz, sz = recs[z]
-                if z > x:  # W_x x W_z > 0
-                    if d0 * z0 + d1 * z1 < edge:
-                        break
-                    cr = x0 * z1 - x1 * z0
-                else:
-                    if d0 * z0 + d1 * z1 > -edge:
-                        break
-                    cr = x1 * z0 - x0 * z1
+    for x in sorted(range(n_cls), key=rs.__getitem__):
+        rx, x0, x1, nx, sx = rs[x], xs[x], ys[x], ns[x], ss[x]
+        # Each side walks until the vector it meets, W_z, or -W_z past the
+        # wrap, is past a right angle, which it takes ahead only.  Ahead the
+        # classes z > x come first and then, past the wrap, z < x; behind,
+        # z < x and then z > x; the second run follows only a first run that
+        # reached the wrap without a break (while-else).  Each run has its
+        # own break test and cross product, so each is its own copy of the
+        # step: a side takes only a few steps per class, and one loop with
+        # the tests as data pays more to set up each run than the copies
+        # cost.
+        z = nxt[x]
+        while z > x:  # ahead, W_x x W_z > 0
+            z0 = xs[z]
+            z1 = ys[z]
+            if x0 * z0 + x1 * z1 < 0:
+                break
+            cr = x0 * z1 - x1 * z0
+            if cr <= bound:
+                if cr < bound:  # both are multiples of size
+                    best, bound, count, ties = cr // size, cr, 0, []
+                    bound_sq = cr * cr
+                count += nx * ns[z]
+                if collect:
+                    ties.append((sx, ss[z]))
+            elif rx * cr * cr > bound_sq * rs[z]:
+                break
+            z = nxt[z]
+        else:
+            while z != x:  # ahead past the wrap, W_x x -W_z > 0
+                z0 = xs[z]
+                z1 = ys[z]
+                if x0 * z0 + x1 * z1 > 0:
+                    break
+                cr = x1 * z0 - x0 * z1
                 if cr <= bound:
-                    if cr < bound:  # both are multiples of size
+                    if cr < bound:
                         best, bound, count, ties = cr // size, cr, 0, []
                         bound_sq = cr * cr
-                    count += nx * nz
+                    count += nx * ns[z]
                     if collect:
-                        ties.append((sx, sz))
-                elif rx * cr * cr > bound_sq * rz:
+                        ties.append((sx, ss[z]))
+                elif rx * cr * cr > bound_sq * rs[z]:
                     break
-                z = link[z]
+                z = nxt[z]
+        z = prv[x]
+        while z < x:  # behind, W_z x W_x > 0
+            z0 = xs[z]
+            z1 = ys[z]
+            if x0 * z0 + x1 * z1 <= 0:
+                break
+            cr = x1 * z0 - x0 * z1
+            if cr <= bound:
+                if cr < bound:
+                    best, bound, count, ties = cr // size, cr, 0, []
+                    bound_sq = cr * cr
+                count += nx * ns[z]
+                if collect:
+                    ties.append((sx, ss[z]))
+            elif rx * cr * cr > bound_sq * rs[z]:
+                break
+            z = prv[z]
+        else:
+            while z != x:  # behind past the wrap, -W_z x W_x > 0
+                z0 = xs[z]
+                z1 = ys[z]
+                if x0 * z0 + x1 * z1 >= 0:
+                    break
+                cr = x0 * z1 - x1 * z0
+                if cr <= bound:
+                    if cr < bound:
+                        best, bound, count, ties = cr // size, cr, 0, []
+                        bound_sq = cr * cr
+                    count += nx * ns[z]
+                    if collect:
+                        ties.append((sx, ss[z]))
+                elif rx * cr * cr > bound_sq * rs[z]:
+                    break
+                z = prv[z]
         nxt[prv[x]] = nxt[x]
         prv[nxt[x]] = prv[x]
     return best, count, ties, n_lone, multi, axis

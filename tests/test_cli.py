@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import re
 import shutil
@@ -438,6 +439,31 @@ def test_count_k_out_of_range_exits_2(tmp_path, capsys):
                         "dim 3\n0 0 0\n1 0 0\n0 2 0\n0 0 3\n")
     code, _, _ = run(capsys, "count", path, "--volume", "1", "--k", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("distinct", []), ("count", ["--volume", "1/2"]),
+])
+def test_brute_force_refused_above_subset_limit(tmp_path, capsys, monkeypatch,
+                                                command, extra):
+    # both commands visit the C(n, 3) triangles of a planar set: 182 points
+    # are just under the limit, 183 just over it
+    assert math.comb(182, 3) <= cli.SUBSET_LIMIT < math.comb(183, 3)
+    grid = gen_lattice2d(196).points
+    under, over = (str(tmp_path / f"{n}.txt") for n in (182, 183))
+    write_point_file(under, simplexvol.PointSet(grid[:182]), [])
+    write_point_file(over, simplexvol.PointSet(grid[:183]), [])
+    code, out, _ = run(capsys, command, under, *extra)
+    assert code == 0 and report_of(out)["results"]
+
+    def no_brute_force(*args, **kwargs):
+        raise AssertionError("brute force run")
+
+    monkeypatch.setattr(bruteforce, "count_simplices_with_volume", no_brute_force)
+    monkeypatch.setattr(bruteforce, "distinct_volumes", no_brute_force)
+    code, out, err = run(capsys, command, over, *extra)
+    assert_one_error_line(code, out, err)
+    assert f"C(183, 3) = {math.comb(183, 3)} subsets (limit {cli.SUBSET_LIMIT})" in err
 
 
 def test_bench_reports_slope(capsys):

@@ -78,3 +78,25 @@ def test_digest_distinguishes_content():
     a = content_digest(PointSet([(1, 2), (3, 4)]))
     b = content_digest(PointSet([(1, 2), (3, 5)]))
     assert a != b
+
+
+LONG = "9" * 5000  # past the default limit of int() on decimal strings
+
+
+@pytest.mark.parametrize("token", [
+    "7", "-7", "+7", "007", "-0", "3/6", "-3/6", "1/0", "1.5", "1e3", "3_000",
+    "\u0661\u0662", "2\u00b2", "0x10", "--7", "-", "3/", "/3", "3/-6", "3/6/2", LONG,
+    LONG + "/3",
+])
+def test_tokens_parse_as_fraction_does(token):
+    # ints and int/int take a fast path; every token keeps the value or the
+    # error of Fraction(token), whatever the Python version
+    try:
+        expected = F(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_point_file(f"dim 1\n{token}\n")
+        assert str(raised.value) == f"line 2: bad rational value ({exc})"
+    else:
+        (value,), = parse_point_file(f"dim 1\n{token}\n").points
+        assert type(value) is F and value == expected
