@@ -41,9 +41,18 @@ def _rat(x) -> str:
     return str(x)
 
 
-def _emit(report: dict) -> None:
-    # one compact line: without indent, json runs its C encoder
-    print(json.dumps(report, sort_keys=True))
+def _emit(report: dict, contributing: str | None = None) -> None:
+    """Print report as one compact line of JSON with sorted keys (without
+    indent, json runs its C encoder).  contributing, when given, is the JSON
+    text of the records under report["results"]["contributing"]; the line
+    is written in pieces around it, so no string holds the whole document."""
+    if contributing is None:
+        print(json.dumps(report, sort_keys=True))
+        return
+    # a lone NUL encodes as "\u0000", which no other value of a report holds
+    report["results"]["contributing"] = "\0"
+    head, tail = json.dumps(report, sort_keys=True).split('"\\u0000"')
+    print(head, contributing, tail, sep="")
 
 
 def _document(command: str, ps: PointSet | None, parameters: dict,
@@ -58,26 +67,26 @@ def _document(command: str, ps: PointSet | None, parameters: dict,
     }
 
 
-def _contributing_json(pts, idx, tied, scale) -> list[dict]:
-    """The contributing records of min_volume_tetrahedra as JSON objects,
-    built from the reporter's rows with no record objects: pts are the
-    solved sites, idx[s] the input indices at site s and tied the tied site
-    simplices.  Each count sums the products of the site weights, which is
-    the length of a site list when every site holds one input point, and
-    each exact string is made once per distinct value."""
+def _contributing_json(pts, idx, tied, scale) -> str:
+    """The contributing records of min_volume_tetrahedra as JSON text, the
+    array that json.dumps(records, sort_keys=True) writes, made in one pass
+    over the reporter's rows with no record objects: pts are the solved
+    sites, idx[s] the input indices at site s and tied the tied site
+    simplices.  In key order a record's side fields (dist_sq,
+    nearest_count, side) fall among its hyperplane's, so each hyperplane
+    formats its own fields once, as the two pieces of text between its side
+    fields, and each record is one f-string of its side fields and those
+    pieces.  Each count sums the products of the site weights, which is the
+    length of a site list when every site holds one input point."""
     weight = [len(i) for i in idx]
     single = len(weight) == sum(weight)
     area_den, dist_den = 4 * scale ** 4, scale * scale
-    strings: dict[tuple[int, int], str] = {}
 
     def exact(num, den):
-        text = strings.get((num, den))
-        if text is None:
-            g = math.gcd(num, den)  # den > 0: the string of Fraction(num, den)
-            text = strings[num, den] = str(num // g) if g == den else f"{num // g}/{den // g}"
-        return text
+        g = math.gcd(num, den)  # den > 0: the string of Fraction(num, den)
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
 
-    out = []
+    records = []
     plane_facets = None
     for g, t, above, on, facets, apexes, nn, dt_sq in _rows(pts, tied):
         if facets is not plane_facets:  # a new hyperplane: its rows share one facet list
@@ -85,24 +94,18 @@ def _contributing_json(pts, idx, tied, scale) -> list[dict]:
             g0, g1, g2 = g
             # g is primitive, so (scale g, t) reduces by gcd(scale, t)
             h = math.gcd(scale, t)
-            plane = {"normal": (scale * g0 // h, scale * g1 // h, scale * g2 // h),
-                     "offset": t // h}
             n_points = len(on) if single else sum(map(weight.__getitem__, on))
-            n_lines, area = _n_lines(pts, on), exact(nn, area_den)
             count = len(facets) if single else sum(
                 [math.prod(map(weight.__getitem__, facet)) for facet in facets])
+            counts = (f'", "min_area_count": {count}, "min_area_sq": "{exact(nn, area_den)}", '
+                      f'"n_lines": {_n_lines(pts, on)}, "n_points": {n_points}, "nearest_count": ')
+            plane = (f', "plane": {{"normal": [{scale * g0 // h}, {scale * g1 // h}, '
+                     f'{scale * g2 // h}], "offset": {t // h}}}, "side": "')
             g_den = (g0 * g0 + g1 * g1 + g2 * g2) * dist_den
-        out.append({
-            "plane": plane,
-            "n_points": n_points,
-            "n_lines": n_lines,
-            "min_area_sq": area,
-            "min_area_count": count,
-            "side": "above" if above else "below",
-            "dist_sq": exact(dt_sq, g_den),
-            "nearest_count": len(apexes) if single else sum(map(weight.__getitem__, apexes)),
-        })
-    return out
+        nearest = len(apexes) if single else sum(map(weight.__getitem__, apexes))
+        records.append(f'{{"dist_sq": "{exact(dt_sq, g_den)}{counts}{nearest}{plane}'
+                       f'{"above" if above else "below"}"}}')
+    return f"[{', '.join(records)}]"
 
 
 def _oracle_check(ps: PointSet, k: int, min_sq, count, witnesses) -> dict:
@@ -195,6 +198,7 @@ def _minvol(ps, args, witness_run) -> int:
     # Runs without witnesses call the public reporter, the name through which
     # perfbench traces the reporter; witness runs build the contributing
     # records only when they print them, and then straight as JSON.
+    contributing = None
     if witness_run:
         vol, count, n_planes, wit, solved = _minimal(ps, 3, True)
         if args.report_witnesses:
@@ -212,7 +216,6 @@ def _minvol(ps, args, witness_run) -> int:
     }
     if args.report_witnesses:
         results["witnesses"] = wit  # tuples encode as JSON arrays
-        results["contributing"] = contributing
     if args.oracle:
         results["oracle"] = _oracle_check(ps, 3, vol * vol, count, wit)
     if args.check_charging:
@@ -226,7 +229,7 @@ def _minvol(ps, args, witness_run) -> int:
         "oracle": args.oracle,
         "report_witnesses": args.report_witnesses,
         "check_charging": args.check_charging,
-    }, results, elapsed))
+    }, results, elapsed), contributing)
     return 4 if args.oracle and not results["oracle"]["match"] else 0
 
 

@@ -64,7 +64,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable
 
 from .bruteforce import rich_lines
@@ -635,14 +635,17 @@ def _rows(pts, tied):
     and its apex a nearest point on that side, and every minimal facet with
     a nearest point on a side that has a tie is a tie, so the facets of a
     hyperplane are all of its minimal facets, on either side, and the apexes
-    on a side all of that side's nearest points.  A tie of _scan is its
-    face's sites, ascending, then two later sites c, d, so it is sorted
-    once c and d are in order.  Each sorted tie gives its (facet, apex)
-    pairs from one position table, grouped by facet first.
-    Each distinct facet then takes its normal N once and its primitive
-    normal g, and goes under the key (g0, g1, g2, t) with its apexes split
-    by side: the apex is above iff dt = t - g . apex < 0.  A triangle face
-    has N = face_normal and g = primitive_vector(N), leading positive as in
+    on a side all of that side's nearest points.
+
+    The rows come in one pass: ties, then facets, then hyperplanes.  A tie
+    of _scan is its face's sites, ascending, then two later sites, so it is
+    sorted once those two are in order; it is unpacked as its sites, and
+    its d + 1 (facet, apex) pairs are grouped by facet.  Each distinct
+    facet then takes its normal N and its primitive normal g, and goes
+    under the key (g0, g1, g2, t) with its apexes split by side: the apex is
+    above iff dt = t - g . apex < 0.  A hyperplane works out |N|^2 once,
+    from the facet that first reaches it.  A triangle face has
+    N = face_normal and g = primitive_vector(N), leading positive as in
     HyperplaneKey.  An edge with direction e, leading positive as the sites
     are sorted, has N = face_normal = (-e1, e0) and g the quarter turn of
     primitive_vector(e), which is the LineKey direction, so LineKey.side_of
@@ -651,22 +654,29 @@ def _rows(pts, tied):
     Each tie costs d + 1 facet lookups, each distinct facet one normal and
     one hyperplane lookup, and each (facet, apex) pair a dot product.  Each
     hyperplane costs one pass over the n sites (a normal's later
-    hyperplanes share one bucketing by g . p).
+    hyperplanes share one bucketing by g . p).  The rows hold only integers
+    and site lists: _contributing makes record objects of them, and the
+    command line formats them straight into JSON text.
     """
     dim = len(tied[0]) - 1
-    positions = [(itemgetter(*(j for j in range(dim + 1) if j != k)), k)
-                 for k in range(dim + 1)]
     apexes_of: dict[tuple, list[int]] = {}
     for tie in tied:
-        if tie[-2] > tie[-1]:  # the face comes first and ascending (_scan)
-            tie = tie[:-2] + (tie[-1], tie[-2])
-        for facet_of, k in positions:
-            facet = facet_of(tie)
+        if dim == 3:
+            a, b, c, d = tie
+            if c > d:
+                c, d = d, c
+            pairs = ((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)
+        else:
+            a, b, c = tie
+            if b > c:
+                b, c = c, b
+            pairs = ((b, c), a), ((a, c), b), ((a, b), c)
+        for facet, apex in pairs:
             apexes = apexes_of.get(facet)
             if apexes is None:
-                apexes_of[facet] = [tie[k]]
+                apexes_of[facet] = [apex]
             else:
-                apexes.append(tie[k])
+                apexes.append(apex)
     sites = pts if dim == 3 else [p[:2] for p in pts]  # in face_normal's dimension
     planes: dict[tuple, list] = {}
     for facet, apexes in apexes_of.items():
@@ -683,9 +693,10 @@ def _rows(pts, tied):
         t = g0 * x + g1 * y + g2 * z
         plane = planes.get((g0, g1, g2, t))
         if plane is None:
-            # its facets, a normal N, and per side (below, above) the dt and
-            # the nearest sites, which all share it
-            plane = planes[g0, g1, g2, t] = [[facet], normal, 0, 0, set(), set()]
+            # its facets, |N|^2, and per side (below, above) the dt and the
+            # nearest sites, which all share it
+            plane = planes[g0, g1, g2, t] = [[facet], sum(map(mul, normal, normal)),
+                                             0, 0, set(), set()]
         else:
             plane[0].append(facet)
         for apex in apexes:
@@ -693,6 +704,7 @@ def _rows(pts, tied):
             dt = t - g0 * x - g1 * y - g2 * z
             plane[2 + (dt < 0)] = dt
             plane[4 + (dt < 0)].add(apex)
+    del apexes_of  # not held while the rows are consumed
     dots_of = None
     # a 2D key sorts by the direction (g1, -g0) of its line
     for key in sorted(planes, key=None if dim == 3 else lambda key: (key[1], -key[0], key[3])):
@@ -706,8 +718,7 @@ def _rows(pts, tied):
                 for s, (x, y, z) in enumerate(pts):
                     on_plane.setdefault(g0 * x + g1 * y + g2 * z, []).append(s)
             on = on_plane[t]
-        facets, normal, dt_below, dt_above, below, above = planes[key]
-        nn = sum(map(mul, normal, normal))
+        facets, nn, dt_below, dt_above, below, above = planes[key]
         if below:
             yield dots_of, t, False, on, facets, below, nn, dt_below * dt_below
         if above:

@@ -17,9 +17,10 @@ import simplexvol.bruteforce as bruteforce
 import simplexvol.charging as charging
 import simplexvol.cli as cli
 import simplexvol.reporter as reporter
-from simplexvol import (gen_lattice2d, gen_lattice_slab3d, gen_min_tetra_prism,
-                        gen_random_rational, load_point_file, min_area_triangles,
-                        min_volume_tetrahedra, parse_point_file, write_point_file)
+from simplexvol import (gen_lattice2d, gen_lattice_slab3d, gen_min_ksimplex_lines,
+                        gen_min_tetra_prism, gen_random_rational, load_point_file,
+                        min_area_triangles, min_volume_tetrahedra, parse_point_file,
+                        write_point_file)
 from simplexvol.bruteforce import MinSimplexResult
 from simplexvol.cli import BENCH_FAMILIES, _build_parser, _git_revision, main
 from helpers import PRIME_DENOMINATORS_3D
@@ -236,6 +237,70 @@ def test_minvol_contributing_json_matches_the_library(tmp_path, capsys, points, 
     assert_records_match(results["contributing"], report)
 
 
+def assert_same_text(got, want):
+    """got == want, reported by the first difference: pytest's own diff of
+    two long one-line strings takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 60, 0)
+        pytest.fail(f"texts differ at {at}: {got[lo:at + 60]!r} != {want[lo:at + 60]!r}")
+
+
+def records_of(report):
+    """The contributing records of a min_volume_tetrahedra report as the
+    JSON objects that minvol prints, made from the library's records."""
+    return [{"plane": {"normal": list(summary.key.normal), "offset": summary.key.offset},
+             "n_points": summary.n_points, "n_lines": summary.n_lines,
+             "min_area_sq": str(summary.min_area_sq), "min_area_count": summary.count,
+             "side": slab.side, "dist_sq": str(slab.dist_sq), "nearest_count": slab.count}
+            for summary, slab in report.contributing]
+
+
+@pytest.mark.parametrize("ps", [
+    gen_min_tetra_prism(16).points,
+    # the sets of the verification run in CI: 20 points of the 5x5x5 box,
+    # 20 points with coordinates up to 10^20, and the k-lines set
+    gen_random_rational(20, 3, seed=1, bound=2),
+    gen_random_rational(20, 3, seed=0, bound=10 ** 20),
+    gen_min_ksimplex_lines(24, 3, 3, epsilon=F(1, 5)).points,
+], ids=["prism16", "box-subset20", "big20", "klines24"])
+def test_verification_run_prints_the_json_of_the_library_report(tmp_path, capsys, ps):
+    # byte for byte: the document minvol prints equals json.dumps of one
+    # built from the library's report, oracle and charging check
+    path = str(tmp_path / "points.txt")
+    write_point_file(path, ps, [])
+    code, out, _ = run(capsys, "minvol", path, "--report-witnesses", "--oracle",
+                       "--check-charging")
+    assert code == 0
+    ps = load_point_file(path)
+    report = min_volume_tetrahedra(ps)
+    oracle = bruteforce.min_volume_simplices(ps, 3)
+    check = charging.verify_charging(ps)
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": "minvol",
+        "input_digest": simplexvol.content_digest(ps),
+        "parameters": {"oracle": True, "report_witnesses": True, "check_charging": True},
+        "results": {
+            "min_volume": str(report.min_volume),
+            "min_volume_sq": str(report.min_volume ** 2),
+            "count": report.count,
+            "sum_face_products": 4 * report.count,
+            "n_planes": report.n_planes,
+            "witnesses": [list(w) for w in report.witnesses],
+            "contributing": records_of(report),
+            "oracle": {"match": True, "min_squared_volume": str(oracle.min_squared_volume),
+                       "count": oracle.count},
+            "charging": {"max_per_face": check.max_per_face,
+                         "max_per_face_side": check.max_per_face_side,
+                         "n_witnesses": check.n_witnesses},
+        },
+        "timing_seconds": report_of(out)["timing_seconds"],
+    }
+    assert_same_text(out, json.dumps(doc, sort_keys=True) + "\n")
+
+
 @pytest.mark.parametrize("ps", [
     simplexvol.PointSet(gen_min_tetra_prism(16).points.points
                         + gen_min_tetra_prism(16).points.points[:5], allow_duplicates=True),
@@ -247,8 +312,10 @@ def test_contributing_json_weighs_coincident_points(ps):
     # that hold several input points
     solved = reporter._minimal(ps, 3, True)[4]
     assert max(map(len, solved[1])) > 1
-    records = json.loads(json.dumps(cli._contributing_json(*solved)))
-    assert_records_match(records, min_volume_tetrahedra(ps))
+    text = cli._contributing_json(*solved)
+    report = min_volume_tetrahedra(ps)
+    assert_records_match(json.loads(text), report)
+    assert_same_text(text, json.dumps(records_of(report), sort_keys=True))
 
 
 @pytest.mark.parametrize("command, flags", [
