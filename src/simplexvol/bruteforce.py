@@ -3,9 +3,10 @@
 These oracles scan all C(n, k+1) vertex subsets with no pruning whatsoever, so
 they are independent of the fast reporting paths they validate.  A (d+1)-subset
 is a face of its first d points plus an apex: the face's normal is taken once
-(exact.face_normal) and each apex's determinant is one dot product with it;
-each k-simplex for k < d takes a Gram determinant.  Zero-volume simplices are
-silently skipped everywhere (the "minimum nonzero" convention).
+(exact.face_normal, or written out for the minimum-volume tetrahedra) and
+each apex's determinant is one dot product with it; each k-simplex for
+k < d takes a Gram determinant.  Zero-volume simplices are silently skipped
+everywhere (the "minimum nonzero" convention).
 """
 
 from __future__ import annotations
@@ -87,8 +88,12 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     combinations yields them, and each apex one dot product with it; each
     k-simplex for k < d takes a Gram determinant.  The cost is one such
     evaluation per (k + 1)-subset, C(n, k + 1) in all, on any input.
-    k = d = 3, the verification run's case, has its own apex loop, with the
-    dot product written out as three terms and no branch per apex.
+    k = d = 3, the verification run's case, has its own nested loops over
+    i < j < m < l, written out on integers: the edge vectors from p_i are
+    taken once per i, the normal of face ijm once per face as the cross
+    product of its edges from p_i, and each apex l is one three-term dot
+    product with the edge p_l - p_i, so the witnesses come in combinations
+    order as on the other paths.
     """
     d = ps.dim
     if not 1 <= k <= d:
@@ -99,32 +104,39 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     coords, scale = integer_coordinates(ps)
     best = None
     witnesses: list[IndexSimplex] = []  # the subsets attaining best
-    # face + (l,) runs through the (k+1)-subsets in combinations order, and
-    # points through the face's coordinates in the same order
-    for face, points in zip(combinations(range(n), k), combinations(coords, k)):
-        if k == d == 3:
-            (n0, n1, n2), offset = face_normal(points)
+    if k == d == 3:
+        for i in range(n - 3):
+            x0, y0, z0 = coords[i]
+            edges = [(x - x0, y - y0, z - z0) for x, y, z in coords]
+            for j in range(i + 1, n - 2):
+                u0, u1, u2 = edges[j]
+                for m in range(j + 1, n - 1):
+                    v0, v1, v2 = edges[m]
+                    n0, n1, n2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+                    for l in range(m + 1, n):
+                        x, y, z = edges[l]
+                        num = n0 * x + n1 * y + n2 * z
+                        num *= num
+                        if num and (best is None or num <= best):
+                            if num != best:
+                                best, witnesses = num, []
+                            witnesses.append((i, j, m, l))
+    else:
+        # face + (l,) runs through the (k+1)-subsets in combinations order, and
+        # points through the face's coordinates in the same order
+        for face, points in zip(combinations(range(n), k), combinations(coords, k)):
+            if k == d:
+                normal, offset = face_normal(points)
             for l in range(face[-1] + 1, n):
-                x, y, z = coords[l]
-                num = n0 * x + n1 * y + n2 * z - offset
-                num *= num
+                if k < d:
+                    num = _int_squared_volume_numerator(coords, face + (l,))
+                else:
+                    num = sum(map(mul, normal, coords[l])) - offset
+                    num *= num
                 if num and (best is None or num <= best):
                     if num != best:
                         best, witnesses = num, []
                     witnesses.append(face + (l,))
-            continue
-        if k == d:
-            normal, offset = face_normal(points)
-        for l in range(face[-1] + 1, n):
-            if k < d:
-                num = _int_squared_volume_numerator(coords, face + (l,))
-            else:
-                num = sum(map(mul, normal, coords[l])) - offset
-                num *= num
-            if num and (best is None or num <= best):
-                if num != best:
-                    best, witnesses = num, []
-                witnesses.append(face + (l,))
     if best is None:
         raise AllDegenerate(f"every {k + 1}-subset of the input is degenerate")
     denom = (math.factorial(k) * scale ** k) ** 2

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bruteforce import min_volume_simplices
@@ -57,13 +56,6 @@ class ChargingBoundExceeded(GeometryError):
     """Over four charges fell on one face, or over two on one (face, side)."""
 
 
-# Edges and faces of a tetrahedron 0123 in combinations order; each face
-# carries the positions in _EDGES of its edges f0f1, f0f2 and f1f2.
-_EDGES = tuple(combinations(range(4), 2))
-_FACES = tuple((f, tuple(_EDGES.index(e) for e in combinations(f, 2)))
-               for f in combinations(range(4), 3))
-
-
 def _charge(ps: PointSet, coords, tetra: Iterable[int]) -> tuple:
     """The charge of a tetrahedron of ps in the cleared coordinates coords,
     as (tet, face, side, diameter, x0, area, det): the sorted indices, the
@@ -75,8 +67,10 @@ def _charge(ps: PointSet, coords, tetra: Iterable[int]) -> tuple:
     A tuple of four increasing indices in range, as the reporters' witnesses
     come, is taken as it is; any other tetra goes through as_simplex, which
     sorts and validates it.  The six edge vectors and squared lengths are
-    taken once; each face that holds a diameter gets |cross|^2 of two of its
-    edges, and the first strictly largest wins.  The side is the sign of det
+    taken once, as locals.  The four faces follow in combinations order,
+    written out: each face that holds a diameter gets |cross|^2 of its
+    first two edges, and the first strictly largest wins.  The winner's det
+    and diameter come from the same locals.  The side is the sign of det
     with the normal in its canonical key orientation (exact.leading_sign).
     """
     n = len(ps)
@@ -87,35 +81,59 @@ def _charge(ps: PointSet, coords, tetra: Iterable[int]) -> tuple:
     if len(tet) != 4 or ps.dim != 3:
         raise DegenerateInput("charging needs a tetrahedron in a 3D point set")
     i0, i1, i2, i3 = tet
-    pts = coords[i0], coords[i1], coords[i2], coords[i3]
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = pts
-    # the edge vectors in _EDGES order
-    vecs = ((b0 - a0, b1 - a1, b2 - a2), (c0 - a0, c1 - a1, c2 - a2), (d0 - a0, d1 - a1, d2 - a2),
-            (c0 - b0, c1 - b1, c2 - b2), (d0 - b0, d1 - b1, d2 - b2), (d0 - c0, d1 - c1, d2 - c2))
-    lengths = [x * x + y * y + z * z for x, y, z in vecs]
-    max_len = max(lengths)
+    (a0, a1, a2), (b0, b1, b2) = coords[i0], coords[i1]
+    (c0, c1, c2), (d0, d1, d2) = coords[i2], coords[i3]
+    ab0, ab1, ab2 = b0 - a0, b1 - a1, b2 - a2
+    ac0, ac1, ac2 = c0 - a0, c1 - a1, c2 - a2
+    ad0, ad1, ad2 = d0 - a0, d1 - a1, d2 - a2
+    bc0, bc1, bc2 = c0 - b0, c1 - b1, c2 - b2
+    bd0, bd1, bd2 = d0 - b0, d1 - b1, d2 - b2
+    cd0, cd1, cd2 = d0 - c0, d1 - c1, d2 - c2
+    lab = ab0 * ab0 + ab1 * ab1 + ab2 * ab2
+    lac = ac0 * ac0 + ac1 * ac1 + ac2 * ac2
+    lad = ad0 * ad0 + ad1 * ad1 + ad2 * ad2
+    lbc = bc0 * bc0 + bc1 * bc1 + bc2 * bc2
+    lbd = bd0 * bd0 + bd1 * bd1 + bd2 * bd2
+    lcd = cd0 * cd0 + cd1 * cd1 + cd2 * cd2
+    max_len = max(lab, lac, lad, lbc, lbd, lcd)
+    # the faces 012, 013, 023 and 123 in turn
     area = -1
-    for f, edges in _FACES:
-        e0, e1, e2 = edges
-        if lengths[e0] != max_len and lengths[e1] != max_len and lengths[e2] != max_len:
-            continue
-        (u0, u1, u2), (v0, v1, v2) = vecs[e0], vecs[e1]
-        n0, n1, n2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    if lab == max_len or lac == max_len or lbc == max_len:
+        m0, m1, m2 = ab1 * ac2 - ab2 * ac1, ab2 * ac0 - ab0 * ac2, ab0 * ac1 - ab1 * ac0
+        area, f = m0 * m0 + m1 * m1 + m2 * m2, 0
+    if lab == max_len or lad == max_len or lbd == max_len:
+        n0, n1, n2 = ab1 * ad2 - ab2 * ad1, ab2 * ad0 - ab0 * ad2, ab0 * ad1 - ab1 * ad0
         a = n0 * n0 + n1 * n1 + n2 * n2
         if a > area:
-            area, face, face_edges, m0, m1, m2 = a, f, edges, n0, n1, n2
-    f0, f1, f2 = face
-    (p0, p1, p2), (q0, q1, q2) = pts[f0], pts[6 - f0 - f1 - f2]  # the apex: 0 + 1 + 2 + 3 == 6
-    det = m0 * (q0 - p0) + m1 * (q1 - p1) + m2 * (q2 - p2)
+            area, f, m0, m1, m2 = a, 1, n0, n1, n2
+    if lac == max_len or lad == max_len or lcd == max_len:
+        n0, n1, n2 = ac1 * ad2 - ac2 * ad1, ac2 * ad0 - ac0 * ad2, ac0 * ad1 - ac1 * ad0
+        a = n0 * n0 + n1 * n1 + n2 * n2
+        if a > area:
+            area, f, m0, m1, m2 = a, 2, n0, n1, n2
+    if lbc == max_len or lbd == max_len or lcd == max_len:
+        n0, n1, n2 = bc1 * bd2 - bc2 * bd1, bc2 * bd0 - bc0 * bd2, bc0 * bd1 - bc1 * bd0
+        a = n0 * n0 + n1 * n1 + n2 * n2
+        if a > area:
+            area, f, m0, m1, m2 = a, 3, n0, n1, n2
+    # det = normal . (apex - face[0]); the diameter is the face's first
+    # longest edge in the order f0f1, f0f2, f1f2
+    if f == 0:
+        face, det = (i0, i1, i2), m0 * ad0 + m1 * ad1 + m2 * ad2
+        diameter = (i0, i1) if lab == max_len else (i0, i2) if lac == max_len else (i1, i2)
+    elif f == 1:
+        face, det = (i0, i1, i3), m0 * ac0 + m1 * ac1 + m2 * ac2
+        diameter = (i0, i1) if lab == max_len else (i0, i3) if lad == max_len else (i1, i3)
+    elif f == 2:
+        face, det = (i0, i2, i3), m0 * ab0 + m1 * ab1 + m2 * ab2
+        diameter = (i0, i2) if lac == max_len else (i0, i3) if lad == max_len else (i2, i3)
+    else:
+        face, det = (i1, i2, i3), -(m0 * ab0 + m1 * ab1 + m2 * ab2)
+        diameter = (i1, i2) if lbc == max_len else (i1, i3) if lbd == max_len else (i2, i3)
     if det == 0:
         raise DegenerateInput(f"tetrahedron {tet} is degenerate")
-    for e in face_edges:
-        if lengths[e] == max_len:
-            break
-    i, j = _EDGES[e]
-    return (tet, (tet[f0], tet[f1], tet[f2]),
-            "above" if det * leading_sign((m0, m1, m2)) > 0 else "below",
-            (tet[i], tet[j]), max_len, area, det)
+    return (tet, face, "above" if det * leading_sign((m0, m1, m2)) > 0 else "below",
+            diameter, max_len, area, det)
 
 
 def charge_tetrahedron(ps: PointSet, tetra: Iterable[int]) -> ChargeRecord:

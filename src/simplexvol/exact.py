@@ -274,10 +274,12 @@ def squared_volume(ps: PointSet, simplex: Iterable[int]) -> Fraction:
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     """Reduce an integer vector by its gcd and make the first nonzero entry
     positive.  Raises on the zero vector."""
-    g = math.gcd(*vec) * leading_sign(vec)
-    if g == 0:
-        raise DegenerateInput("zero vector has no direction")
-    return tuple([c // g for c in vec])
+    g = math.gcd(*vec)
+    for lead in vec:
+        if lead:
+            g = g if lead > 0 else -g
+            return tuple([c // g for c in vec])
+    raise DegenerateInput("zero vector has no direction")
 
 
 def leading_sign(vec: Sequence[int]) -> int:

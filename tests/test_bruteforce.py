@@ -213,7 +213,10 @@ def test_min_simplices_zero_volume_skipped_with_duplicates():
 def _kernel_sets(d):
     """Small d-dimensional sets for the face-normal scans: lattice subsets,
     lattice subsets with duplicates, and both with coordinates divided by
-    distinct primes (mixed denominators), then one hyperplanar set."""
+    distinct primes (mixed denominators), then one hyperplanar set.  In 3D
+    three tie-heavy sets follow: 12 points of the box {-2..2}^3 that the
+    verification run samples from, the same with two repeated points, and
+    the same shifted by a prime-denominator vector."""
     rng = random.Random(d)
     lattice = list(product(range(3 if d > 1 else 9), repeat=d))
     sets = []
@@ -225,6 +228,11 @@ def _kernel_sets(d):
     sets += [[tuple(F(c, p) + F(1, 11) for c, p in zip(r, primes)) for r in rows]
              for rows in sets[-4:]]
     sets.append([r[:-1] + (F(1, 3),) for r in rng.sample(lattice, d + 3)])
+    if d == 3:
+        rows = rng.sample(list(product(range(-2, 3), repeat=3)), 12)
+        shift = (F(1, 7), F(2, 11), F(-3, 13))
+        sets += [rows, rows + rng.sample(rows, 2),
+                 [tuple(c + t for c, t in zip(r, shift)) for r in rows]]
     return [PointSet(rows, allow_duplicates=True) for rows in sets]
 
 

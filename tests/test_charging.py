@@ -115,6 +115,17 @@ def _charging_inputs():
         shift = [F(rng.randint(-99, 99), rng.choice(primes)) for _ in range(3)]
         sets.append(PointSet([tuple(c + t for c, t in zip(p, shift))
                               for p in rng.sample(box, rng.randint(7, 12))]))
+    # the regular lattice tetrahedron, six equal diameters and four faces of
+    # equal area, and copies of it shifted inside the box {0..3}^3; every
+    # point has an even coordinate sum, so no tetrahedron is smaller
+    regular = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    sets.append(PointSet(regular))
+    for shifts in ([(0, 0, 0), (2, 2, 2)], [(0, 0, 0), (1, 1, 0), (2, 0, 2), (0, 2, 2)]):
+        sets.append(PointSet(sorted({tuple(c + t for c, t in zip(p, shift))
+                                     for shift in shifts for p in regular})))
+    # the cube's corners: its corner tetrahedra have three equal diameters,
+    # and its path tetrahedra two diameter faces of equal area
+    sets.append(PointSet(list(itertools.product(range(2), repeat=3))))
     return sets
 
 

@@ -43,6 +43,20 @@ def write_points(tmp_path, name, text):
 
 
 COPLANAR = "dim 3\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n2 5 0\n"
+TETRA = "dim 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+SQUARE = "dim 2\n0 0\n1 0\n0 1\n1 1\n"
+# a 2x2x2 cube has many minimum tetrahedra
+CUBE = "dim 3\n" + "".join(f"{x} {y} {z}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1))
+
+
+def mismatching_oracle(ps, k):
+    """A brute-force oracle whose answer no reporter gives."""
+    return MinSimplexResult(min_squared_volume=F(1, 999), witnesses=((0, 1, 2, 3),), count=7)
+
+
+def one_face(ps, coords, tetra):
+    """A charging kernel that charges every tetrahedron to one face."""
+    return tuple(tetra), (0, 1, 2), "above", (0, 1), 1, 1, 1
 
 
 def test_gen_prism_writes_expected_comments(tmp_path, capsys):
@@ -166,33 +180,101 @@ def test_oracle_refused_above_limit(tmp_path, capsys, monkeypatch, command, dim)
 
 
 def test_minvol_oracle_mismatch_exits_4(tmp_path, capsys, monkeypatch):
-    path = write_points(tmp_path, "tetra.txt",
-                        "dim 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
-
-    def fake_oracle(ps, k):
-        return MinSimplexResult(min_squared_volume=F(1, 999),
-                                witnesses=((0, 1, 2, 3),), count=7)
-
-    monkeypatch.setattr(bruteforce, "min_volume_simplices", fake_oracle)
+    path = write_points(tmp_path, "tetra.txt", TETRA)
+    monkeypatch.setattr(bruteforce, "min_volume_simplices", mismatching_oracle)
     code, out, _ = run(capsys, "minvol", path, "--oracle")
     assert code == 4
     assert report_of(out)["results"]["oracle"]["match"] is False
 
 
 def test_minvol_charging_bound_exceeded_exits_4(tmp_path, capsys, monkeypatch):
-    # a 2x2x2 cube has many minimum tetrahedra; charge all of them to one face
-    path = write_points(tmp_path, "cube.txt", "dim 3\n" + "".join(
-        f"{x} {y} {z}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1)))
-
-    def one_face(ps, coords, tetra):
-        return tuple(tetra), (0, 1, 2), "above", (0, 1), 1, 1, 1
-
+    # charge all of the cube's minimum tetrahedra to one face
+    path = write_points(tmp_path, "cube.txt", CUBE)
     monkeypatch.setattr(charging, "_charge", one_face)
     code, out, err = run(capsys, "minvol", path, "--check-charging")
     assert code == 4
     assert out == ""
     assert err.startswith("error: charging bound exceeded:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Every documented exit code of every subcommand: 0 success, 2 usage or
+# constraint error, 3 degenerate input, 4 verification failed.  Each code a
+# subcommand reaches has its runs, as (point file text or None, arguments
+# after the subcommand, (module, name, replacement) patches); None marks a
+# code the subcommand cannot reach.  {points} and {out} in the arguments
+# stand for the point file and an output path.
+EXIT_CODES = {
+    "gen": {
+        0: [(None, ["--family", "prism3d", "--n", "8", "--out", "{out}"], ())],
+        2: [(None, ["--family", "prism3d", "--n", "10", "--out", "{out}"], ())],
+        3: None,  # gen builds no simplex: it writes the points or refuses the parameters
+        4: None,  # gen verifies nothing
+    },
+    "minvol": {
+        0: [(TETRA, ["{points}", "--oracle", "--report-witnesses", "--check-charging"], ())],
+        2: [(SQUARE, ["{points}"], ())],
+        3: [(COPLANAR, ["{points}", "--oracle", "--check-charging"], ())],
+        4: [(TETRA, ["{points}", "--oracle"], ((bruteforce, "min_volume_simplices",
+                                                mismatching_oracle),)),
+            (CUBE, ["{points}", "--check-charging"], ((charging, "_charge", one_face),))],
+    },
+    "minarea": {
+        0: [(SQUARE, ["{points}", "--oracle", "--report-witnesses"], ())],
+        2: [(TETRA, ["{points}"], ())],
+        3: [("dim 2\n0 0\n1 1\n2 2\n3 3\n", ["{points}", "--oracle"], ())],
+        4: [(SQUARE, ["{points}", "--oracle"], ((bruteforce, "min_volume_simplices",
+                                                 mismatching_oracle),))],
+    },
+    "distinct": {
+        0: [(TETRA, ["{points}", "--common-face", "exhaustive"], ())],
+        2: [("0 0 0\n", ["{points}"], ())],
+        3: [(COPLANAR, ["{points}"], ())],
+        4: None,  # distinct verifies nothing
+    },
+    "count": {
+        0: [(TETRA, ["{points}", "--volume", "1/6"], ())],
+        2: [(TETRA, ["{points}", "--volume", "0"], ())],
+        3: None,  # a degenerate set counts 0 simplices
+        4: None,  # count verifies nothing
+    },
+    "bench": {
+        0: [(None, ["--family", "random3d", "--sizes", "8"], ())],
+        2: [(None, ["--family", "lattice2d", "--sizes", "8"], ())],
+        3: None,  # every family builds sets with a positive minimum at every size it accepts
+        4: None,  # bench verifies nothing
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(EXIT_CODES))
+def test_every_subcommand_reaches_its_documented_exit_codes(tmp_path, capsys, monkeypatch,
+                                                            command):
+    assert set(EXIT_CODES) == {name[4:] for name in dir(cli) if name.startswith("cmd_")}
+    assert sorted(EXIT_CODES[command]) == [0, 2, 3, 4]
+    for code, runs in EXIT_CODES[command].items():
+        for text, argv, patches in runs or ():
+            points = write_points(tmp_path, "points.txt", text) if text else None
+            out_path = tmp_path / f"out-{code}.txt"
+            argv = [a.format(points=points, out=out_path) for a in argv]
+            with monkeypatch.context() as patch:
+                for module, name, replacement in patches:
+                    patch.setattr(module, name, replacement)
+                got, out, err = run(capsys, command, *argv)
+            assert got == code, (command, argv, err)
+            if code == 0 or code == 4 and "--oracle" in argv:
+                # an oracle mismatch still prints the report
+                assert err == ""
+                if command == "gen":
+                    assert out == "" and out_path.exists()
+                    continue
+                doc = report_of(out)
+                assert doc["command"] == command
+                if code == 4:
+                    assert doc["results"]["oracle"]["match"] is False
+            else:
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_minvol_deterministic_output(tmp_path, capsys):
@@ -364,9 +446,6 @@ def test_witness_runs_pause_and_restore_the_collector(tmp_path, capsys, monkeypa
     def watched(*args):
         during.append(gc.isenabled())
         return scan(*args)
-
-    def one_face(ps, coords, tetra):
-        return tuple(tetra), (0, 1, 2), "above", (0, 1), 1, 1, 1
 
     monkeypatch.setattr(reporter, "_scan", watched)
     was = gc.isenabled()
