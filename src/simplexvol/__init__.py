@@ -67,13 +67,9 @@ from .reporter import (
     MinAreaReport,
     MinVolumeReport,
     PlaneSummary,
-    SegmentRun,
     SlabRecord,
-    empty_slabs,
     min_area_triangles,
-    min_area_triangles_in_plane,
     min_volume_tetrahedra,
-    shortest_segments_on_line,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .charging import ChargingBoundExceeded, verify_charging
 from .constructions import FAMILIES, gen_lattice_slab3d, gen_min_tetra_prism, gen_random_rational
 from .distinct import best_common_face
 from .exact import AllDegenerate, DegenerateInput, PointSet
-from .pointfile import content_digest, load_point_file, write_point_file
+from .pointfile import _parse_scalar, content_digest, load_point_file, write_point_file
 from .reporter import (_gc_paused, _minimal, _n_lines, _rows, min_area_triangles,
                        min_volume_tetrahedra)
 
@@ -34,11 +34,6 @@ SUBSET_LIMIT = 10 ** 6  # subsets; count and distinct refuse a brute force that 
 # The package reads no environment variable; perfbench/bench.py still clears
 # this former thread-count setting before it runs, so the name stays.
 THREADS_ENV = "SIMPLEXVOL_THREADS"
-
-
-def _rat(x) -> str:
-    """An int or Fraction as its exact string, "p/q" or "p"."""
-    return str(x)
 
 
 def _emit(report: dict, contributing: str | None = None) -> None:
@@ -114,7 +109,7 @@ def _oracle_check(ps: PointSet, k: int, min_sq, count, witnesses) -> dict:
     return {
         "match": (min_sq == oracle.min_squared_volume and count == oracle.count
                   and tuple(witnesses) == tuple(oracle.witnesses)),
-        "min_squared_volume": _rat(oracle.min_squared_volume),
+        "min_squared_volume": str(oracle.min_squared_volume),
         "count": oracle.count,
     }
 
@@ -129,13 +124,13 @@ def cmd_gen(args) -> int:
     kwargs = {"n": args.n}
     if family == "prism3d":
         if args.epsilon is not None:
-            kwargs["epsilon"] = Fraction(args.epsilon)
+            kwargs["epsilon"] = Fraction(_parse_scalar(args.epsilon))
     elif family == "klines":
         if args.k is None or args.d is None:
             raise ValueError("klines needs --k and --d")
         kwargs.update(k=args.k, d=args.d)
         if args.epsilon is not None:
-            kwargs["epsilon"] = Fraction(args.epsilon)
+            kwargs["epsilon"] = Fraction(_parse_scalar(args.epsilon))
     elif family == "dlines_distinct":
         if args.d is None:
             raise ValueError("dlines_distinct needs --d")
@@ -208,8 +203,8 @@ def _minvol(ps, args, witness_run) -> int:
         vol, count, n_planes = report.min_volume, report.count, report.n_planes
     elapsed = time.perf_counter() - start
     results = {
-        "min_volume": _rat(vol),
-        "min_volume_sq": _rat(vol * vol),
+        "min_volume": str(vol),
+        "min_volume_sq": str(vol * vol),
         "count": count,
         "sum_face_products": 4 * count,
         "n_planes": n_planes,
@@ -253,8 +248,8 @@ def _minarea(ps, args, witness_run) -> int:
         area, count, n_lines = report.min_area, report.count, report.n_lines
     elapsed = time.perf_counter() - start
     results = {
-        "min_area": _rat(area),
-        "min_area_sq": _rat(area * area),
+        "min_area": str(area),
+        "min_area_sq": str(area * area),
         "count": count,
         "sum_side_products": 3 * count,
         "n_lines": n_lines,
@@ -277,14 +272,14 @@ def cmd_distinct(args) -> int:
     report = bruteforce.distinct_volumes(ps)
     results = {
         "distinct_count": report.count,
-        "distinct_volumes": [_rat(v) for v in report.distinct_values],
+        "distinct_volumes": [str(v) for v in report.distinct_values],
     }
     if args.common_face:
         face = best_common_face(ps, mode=args.common_face)
         results["common_face"] = {
             "face": list(face.face),
             "distinct_count": face.distinct_count,
-            "volumes": [_rat(v) for v in face.volumes],
+            "volumes": [str(v) for v in face.volumes],
             "mode": face.mode,
         }
     elapsed = time.perf_counter() - start
@@ -296,14 +291,14 @@ def cmd_distinct(args) -> int:
 def cmd_count(args) -> int:
     ps = load_point_file(args.input)
     k = args.k if args.k is not None else ps.dim
-    target = Fraction(args.volume)
+    target = Fraction(_parse_scalar(args.volume))
     if 1 <= k <= ps.dim:  # bruteforce refuses any other k
         _subset_budget(ps, k + 1)
     start = time.perf_counter()
     report = bruteforce.count_simplices_with_volume(ps, target, k)
     elapsed = time.perf_counter() - start
     _emit(_document("count", ps, {
-        "volume": _rat(target),
+        "volume": str(target),
         "k": k,
         "comparison": "volume" if k == ps.dim else "squared volume",
     }, {"count": report.count}, elapsed))

@@ -1,10 +1,14 @@
 """Exact rational geometry kernel.
 
-Every predicate and measure in this package is computed over arbitrary-precision
-rationals (`fractions.Fraction`); nothing is ever rounded.  Quantities that would
-be irrational (lengths, areas, k-volumes for k below the ambient dimension) are
-handled in squared form, which keeps them rational and preserves order on
-nonnegative values.
+Every predicate and measure in this package is exact.  Inputs and reported
+values are arbitrary-precision rationals (`fractions.Fraction`), while the hot
+loops run on the denominator-cleared integers of integer_coordinates.  The one
+use of floats is the fast reporter's angle order of directions, keyed by float
+slopes and checked with integer cross products, with exact Fractions in place
+of floats where that check fails (reporter._window_pairs); no rounded value
+reaches a result.  Quantities that would be irrational (lengths, areas,
+k-volumes for k below the ambient dimension) are handled in squared form,
+which keeps them rational and preserves order on nonnegative values.
 """
 
 from __future__ import annotations

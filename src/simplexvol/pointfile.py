@@ -1,8 +1,9 @@
 """Flat-file format for exact point sets.
 
 A point file is plain text: a header line ``dim <d>``, then one point per
-line as d whitespace-separated rationals, each written ``int`` or
-``int/int``.  Lines starting with ``#`` are comments and blank lines are
+line as d whitespace-separated rationals, each written ``int``,
+``int/int`` or a plain decimal; a decimal exponent such as ``1e3`` is
+refused.  Lines starting with ``#`` are comments and blank lines are
 ignored.  Parse followed by serialize is the identity up to whitespace
 normalization, and values are never rounded.
 """
@@ -25,15 +26,13 @@ __all__ = [
 ]
 
 
-def _format_scalar(value: Fraction) -> str:
-    return str(value)  # "p/q", or just "p" when the denominator is 1
-
-
 def _parse_scalar(token: str):
-    """The value of one coordinate token: an ASCII ``-?[0-9]+`` by int, an
+    """The value of one rational token: an ASCII ``-?[0-9]+`` by int, an
     ASCII ``-?[0-9]+/[0-9]+`` by Fraction of two ints, and any other token
     by Fraction(token), so every token keeps the value or the error that
-    Fraction(token) gives it."""
+    Fraction(token) gives it, except that a token with a decimal exponent
+    (``e`` or ``E``) is refused: Fraction would compute 10**exponent, and
+    the 12 bytes ``1e999999999`` would never finish."""
     if token.isascii():
         num, slash, den = token.partition("/")
         if (num[1:] if num[:1] == "-" else num).isdigit():
@@ -41,6 +40,8 @@ def _parse_scalar(token: str):
                 return int(num)
             if den.isdigit():
                 return Fraction(int(num), int(den))
+    if "e" in token or "E" in token:
+        raise ValueError(f"decimal exponent refused in {token!r}")
     return Fraction(token)
 
 
@@ -79,7 +80,7 @@ def serialize_point_set(ps: PointSet, comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"dim {ps.dim}")
     for pt in ps.points:
-        lines.append(" ".join(_format_scalar(c) for c in pt))
+        lines.append(" ".join(map(str, pt)))  # "p/q", or "p" when the denominator is 1
     return "\n".join(lines) + "\n"
 
 

@@ -63,47 +63,32 @@ import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import mul
-from typing import Iterable
 
-from .bruteforce import rich_lines
 from .exact import (
     AllDegenerate,
-    DegenerateInput,
     DimensionMismatch,
     HyperplaneKey,
     LineKey,
     PointSet,
     face_normal,
     integer_coordinates,
-    line_key,
+    line_key,  # unused here: perfbench/tracing.py patches it and plane_key on this module
     plane_key,
     primitive_vector,
 )
 
 __all__ = [
-    "SegmentRun",
     "PlaneSummary",
     "SlabRecord",
     "MinVolumeReport",
     "LineSummary",
     "LineSideRecord",
     "MinAreaReport",
-    "shortest_segments_on_line",
-    "min_area_triangles_in_plane",
-    "empty_slabs",
     "min_volume_tetrahedra",
     "min_area_triangles",
 ]
-
-
-@dataclass(frozen=True)
-class SegmentRun:
-    """Shortest-segment statistics of collinear points."""
-    min_length_sq: Fraction
-    count: int
-    pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -827,119 +812,6 @@ def _minimal(ps, dim, witnesses):
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def shortest_segments_on_line(ps: PointSet, indices: Iterable[int]) -> SegmentRun:
-    """Number and (squared) length of the shortest segments between
-    consecutive collinear points."""
-    idx = sorted(set(indices))
-    if len(idx) < 2:
-        raise ValueError("need at least two collinear points")
-    distinct = [i for i in idx if ps.points[i] != ps.points[idx[0]]]
-    if not distinct:
-        raise AllDegenerate("all points coincide; no segment has positive length")
-    key = line_key(ps, idx[0], distinct[0])
-    for i in idx:
-        if not key.contains(ps.points[i]):
-            raise DegenerateInput(f"point {i} is not on the common line")
-    d = key.direction
-    # the points by position d . p along the line, coincident ones together
-    groups: dict[Fraction, list[int]] = {}
-    for i in idx:
-        groups.setdefault(sum(c * x for c, x in zip(d, ps.points[i])), []).append(i)
-    order = sorted(groups)
-    min_gap = min(t2 - t1 for t1, t2 in zip(order, order[1:]))
-    pairs = sorted(tuple(sorted((i, j))) for t1, t2 in zip(order, order[1:])
-                   if t2 - t1 == min_gap for i in groups[t1] for j in groups[t2])
-    return SegmentRun(min_length_sq=min_gap * min_gap / sum(c * c for c in d),
-                      count=len(pairs), pairs=tuple(pairs))
-
-
-def _noncollinear_triple(ps: PointSet, indices):
-    first = indices[0]
-    second = next((i for i in indices if ps.points[i] != ps.points[first]), None)
-    if second is None:
-        return None
-    key = line_key(ps, first, second)
-    return next(((first, second, i) for i in indices if not key.contains(ps.points[i])), None)
-
-
-def min_area_triangles_in_plane(ps: PointSet,
-                                indices: Iterable[int] | None = None) -> PlaneSummary:
-    """Minimum-nonzero-area triangles among a coplanar subset.
-
-    The subset must lie in a common plane (trivially true for 2D input).  A
-    reference for the reporters' per-plane records that shares no code with
-    their scan: every triple of the subset is measured by the cross product
-    of its edges on the denominator-cleared integer coordinates, and the
-    lines are counted by bruteforce.rich_lines on the subset.  O(k^3) for k
-    points.
-    """
-    if ps.dim not in (2, 3):
-        raise DimensionMismatch("min-area scan supports 2D and 3D point sets")
-    idx = sorted(set(indices)) if indices is not None else list(range(len(ps)))
-    if len(idx) < 3:
-        raise ValueError("need at least three points")
-    key = None
-    if ps.dim == 3:
-        triple = _noncollinear_triple(ps, idx)
-        if triple is None:
-            raise AllDegenerate("all incident points are collinear")
-        key = plane_key(ps, triple)
-        for i in idx:
-            if not key.contains(ps.points[i]):
-                raise DegenerateInput(f"point {i} is not on the plane of the others")
-    coords, scale = integer_coordinates(ps)
-    pts = {i: coords[i] + (0,) * (3 - ps.dim) for i in idx}
-    least, witnesses = 0, []
-    for tri in combinations(idx, 3):
-        normal = face_normal([pts[i] for i in tri])[0]
-        sq = sum(map(mul, normal, normal))  # (2 area scale^2)^2
-        if sq and (sq <= least or not least):
-            if sq != least:
-                least, witnesses = sq, []
-            witnesses.append(tri)
-    if not least:
-        raise AllDegenerate("all incident points are collinear")
-    subset = PointSet([ps.points[i] for i in idx], dim=ps.dim, allow_duplicates=True)
-    return PlaneSummary(
-        key=key,
-        incident=tuple(idx),
-        n_points=len(idx),
-        n_lines=len(rich_lines(subset, 2).lines),
-        min_area_sq=Fraction(least, 4 * scale ** 4),
-        count=len(witnesses),
-        witnesses=tuple(witnesses),
-    )
-
-
-def empty_slabs(ps: PointSet, plane: HyperplaneKey) -> tuple[SlabRecord | None, SlabRecord | None]:
-    """Nearest off-plane points on each side of the plane, i.e. the empty
-    slabs it bounds.  Returns (above, below); a side is None when no point of
-    the set lies there."""
-    if ps.dim != len(plane.normal):
-        raise DimensionMismatch("plane dimension does not match the point set")
-    sides: dict[int, tuple[Fraction, list[int]]] = {}
-    for i, p in enumerate(ps.points):
-        s = sum(n * c for n, c in zip(plane.normal, p)) - plane.offset
-        if s == 0:
-            continue
-        sign = 1 if s > 0 else -1
-        sq = Fraction(s * s, plane.norm_sq)
-        cur = sides.get(sign)
-        if cur is None or sq < cur[0]:
-            sides[sign] = (sq, [i])
-        elif sq == cur[0]:
-            cur[1].append(i)
-    out = []
-    for sign, name in ((1, "above"), (-1, "below")):
-        if sign in sides:
-            sq, nearest = sides[sign]
-            out.append(SlabRecord(plane=plane, side=name, dist_sq=sq,
-                                  count=len(nearest), nearest=tuple(sorted(nearest))))
-        else:
-            out.append(None)
-    return out[0], out[1]
 
 
 def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeReport:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from simplexvol import PointSet, gen_random_rational
+from simplexvol import PointSet, gen_random_rational, squared_distance_point_plane
 
 
 def rank(ps: PointSet) -> int:
@@ -37,6 +37,21 @@ def random_spanning(n: int, d: int, seed: int, bound: int = 8) -> PointSet:
         if rank(ps) == d:
             return ps
     raise RuntimeError(f"could not draw a spanning set (n={n}, d={d}, seed={seed})")
+
+
+def nearest_on_side(ps: PointSet, key, side: int) -> tuple[Fraction | None, tuple[int, ...]]:
+    """(squared distance, indices) of the points of ps nearest to the
+    hyperplane key among those with key.side_of(p) == side, exhaustively;
+    (None, ()) when no point lies on that side."""
+    least, nearest = None, []
+    for i, p in enumerate(ps.points):
+        if key.side_of(p) == side:
+            dist_sq = squared_distance_point_plane(p, key)
+            if least is None or dist_sq < least:
+                least, nearest = dist_sq, [i]
+            elif dist_sq == least:
+                nearest.append(i)
+    return least, tuple(nearest)
 
 
 def scale_points(ps: PointSet, factor: Fraction) -> PointSet:

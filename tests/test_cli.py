@@ -580,6 +580,22 @@ def test_count(tmp_path, capsys):
     assert report_of(out)["results"]["count"] == 0
 
 
+@pytest.mark.parametrize("token", ["1e3", "1E-2", "2.5e1"])
+def test_decimal_exponent_refused_on_the_rational_flags(tmp_path, capsys, token):
+    # --volume and --epsilon take the point-file parser's refusal: exit 2,
+    # one error line and no report
+    path = write_points(tmp_path, "tetra.txt", "dim 3\n0 0 0\n1 0 0\n0 2 0\n0 0 3\n")
+    out_path = str(tmp_path / "prism.txt")
+    for argv in (["count", path, "--volume", token],
+                 ["gen", "--family", "prism3d", "--n", "8", "--epsilon", token, "--out", out_path],
+                 ["gen", "--family", "klines", "--n", "8", "--k", "2", "--d", "2",
+                  "--epsilon", token, "--out", out_path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: decimal exponent refused in {token!r}\n"
+    assert not os.path.exists(out_path)
+
+
 def test_count_k_out_of_range_exits_2(tmp_path, capsys):
     path = write_points(tmp_path, "tetra.txt",
                         "dim 3\n0 0 0\n1 0 0\n0 2 0\n0 0 3\n")

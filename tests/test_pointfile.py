@@ -84,13 +84,14 @@ LONG = "9" * 5000  # past the default limit of int() on decimal strings
 
 
 @pytest.mark.parametrize("token", [
-    "7", "-7", "+7", "007", "-0", "3/6", "-3/6", "1/0", "1.5", "1e3", "3_000",
+    "7", "-7", "+7", "007", "-0", "3/6", "-3/6", "1/0", "1.5", "3_000",
     "\u0661\u0662", "2\u00b2", "0x10", "--7", "-", "3/", "/3", "3/-6", "3/6/2", LONG,
     LONG + "/3",
 ])
 def test_tokens_parse_as_fraction_does(token):
     # ints and int/int take a fast path; every token keeps the value or the
-    # error of Fraction(token), whatever the Python version
+    # error of Fraction(token), whatever the Python version, except a decimal
+    # exponent (test_decimal_exponent_refused)
     try:
         expected = F(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,3 +101,12 @@ def test_tokens_parse_as_fraction_does(token):
     else:
         (value,), = parse_point_file(f"dim 1\n{token}\n").points
         assert type(value) is F and value == expected
+
+
+@pytest.mark.parametrize("token", ["1e3", "1E-2", "2.5e1"])
+def test_decimal_exponent_refused(token):
+    # Fraction(token) computes 10**exponent, unbounded in the token's length
+    with pytest.raises(ValueError) as raised:
+        parse_point_file(f"dim 1\n{token}\n")
+    message = f"decimal exponent refused in {token!r}"
+    assert str(raised.value) == f"line 2: bad rational value ({message})"

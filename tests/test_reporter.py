@@ -1,5 +1,5 @@
-"""Fast-path reporter tests: per-line and per-plane machinery, the 3D and 2D
-reporters against the brute-force oracle, and the counting identities."""
+"""Fast-path reporter tests: the 3D and 2D reporters and their contributing
+records against the brute-force oracle, and the counting identities."""
 
 import itertools
 import math
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from simplexvol import (
     AllDegenerate,
-    DegenerateInput,
+    PlaneSummary,
     PointSet,
-    empty_slabs,
+    SlabRecord,
     gen_lattice2d,
     gen_lattice_slab3d,
     gen_min_ksimplex_lines,
@@ -25,19 +25,17 @@ from simplexvol import (
     hyperplane_key,
     line_key,
     min_area_triangles,
-    min_area_triangles_in_plane,
     min_volume_simplices,
     min_volume_tetrahedra,
     plane_key,
     rich_lines,
-    shortest_segments_on_line,
     spanned_planes,
     squared_distance_point_plane,
 )
 from simplexvol.exact import integer_coordinates, primitive_vector
 import simplexvol.reporter as reporter
-from simplexvol.reporter import _collinear, _scan
-from helpers import PRIME_DENOMINATORS_3D, random_spanning
+from simplexvol.reporter import LineSideRecord, LineSummary, _collinear, _scan
+from helpers import PRIME_DENOMINATORS_3D, nearest_on_side, random_spanning
 
 LINE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]
 # most in the plane z == 0, so that a star often has three lines in one plane
@@ -126,138 +124,6 @@ def spanned_line_count(ps):
                 if ps.points[i] != ps.points[j]})
 
 
-class TestShortestSegments:
-    def test_gaps(self):
-        ps = PointSet([(0, 0), (1, 0), (2, 0), (4, 0)])
-        run = shortest_segments_on_line(ps, range(4))
-        assert run.min_length_sq == 1
-        assert run.count == 2
-        assert run.pairs == ((0, 1), (1, 2))
-
-    def test_equally_spaced(self):
-        ps = PointSet([(i, 2 * i, -i) for i in range(7)])
-        run = shortest_segments_on_line(ps, range(7))
-        assert run.count == 6
-
-    def test_fractional(self):
-        ps = PointSet([(0, 0), (F(1, 3), 0), (1, 0)])
-        run = shortest_segments_on_line(ps, range(3))
-        assert run.min_length_sq == F(1, 9)
-        assert run.count == 1
-
-    def test_not_collinear(self):
-        ps = PointSet([(0, 0), (1, 0), (1, 1)])
-        with pytest.raises(DegenerateInput):
-            shortest_segments_on_line(ps, range(3))
-
-    def test_too_few(self):
-        ps = PointSet([(0, 0)])
-        with pytest.raises(ValueError):
-            shortest_segments_on_line(ps, [0])
-
-
-class TestMinAreaInPlane:
-    def test_three_collinear_plus_one(self):
-        ps = PointSet([(0, 0), (1, 0), (2, 0), (0, 1)])
-        summary = min_area_triangles_in_plane(ps)
-        assert summary.min_area_sq == F(1, 4)
-        assert summary.count == 2
-        assert summary.witnesses == ((0, 1, 3), (1, 2, 3))
-        assert summary.n_lines == 4
-
-    def test_unit_square(self):
-        ps = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
-        summary = min_area_triangles_in_plane(ps)
-        assert summary.min_area_sq == F(1, 4)
-        assert summary.count == 4
-        assert summary.n_lines == 6
-
-    def test_matches_oracle_on_random_planar_sets(self):
-        checked = 0
-        for seed in range(60):
-            n = 4 + seed % 16
-            ps = gen_random_rational(n, 2, seed=900 + seed, bound=9)
-            try:
-                summary = min_area_triangles_in_plane(ps)
-                oracle = min_volume_simplices(ps, 2)
-            except AllDegenerate:
-                continue
-            assert summary.min_area_sq == oracle.min_squared_volume
-            assert summary.count == oracle.count
-            assert summary.witnesses == oracle.witnesses
-            checked += 1
-        assert checked >= 50
-
-    def test_3d_subset_with_plane_key(self):
-        ps = PointSet([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 7)])
-        summary = min_area_triangles_in_plane(ps, [0, 1, 2, 3])
-        assert summary.key is not None
-        assert summary.key.normal == (0, 0, 1)
-        assert summary.min_area_sq == F(1, 4)
-        assert summary.count == 2
-
-    def test_tilted_planes_match_oracle(self):
-        # an affine map into a tilted plane with mixed-denominator axes keeps
-        # ratios of areas, collinearity and ties
-        checked = 0
-        for seed in range(40):
-            rnd = random.Random(seed)
-            pre = gen_random_rational(4 + seed % 12, 2, seed=7000 + seed, bound=4)
-            origin = [F(rnd.randint(-3, 3), 11) for _ in range(3)]
-            u = [F(rnd.randint(-4, 4), rnd.choice([1, 2, 3, 5])) for _ in range(3)]
-            v = [F(rnd.randint(-4, 4), rnd.choice([1, 7, 13])) for _ in range(3)]
-            normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                      u[0] * v[1] - u[1] * v[0]]
-            if not any(normal):
-                continue
-            rows = [[o + x * a + y * b for o, a, b in zip(origin, u, v)] for x, y in pre.points]
-            sub = PointSet(rows)
-            ps = PointSet(rows + [[o + c for o, c in zip(origin, normal)]])
-            try:
-                oracle = min_volume_simplices(sub, 2)
-            except AllDegenerate:
-                continue
-            summary = min_area_triangles_in_plane(ps, range(len(sub)))
-            assert summary.key == plane_key(ps, oracle.witnesses[0])
-            assert summary.min_area_sq == oracle.min_squared_volume
-            assert summary.count == oracle.count
-            assert summary.witnesses == oracle.witnesses
-            assert summary.n_lines == spanned_line_count(pre)
-            checked += 1
-        assert checked >= 30
-
-    def test_non_coplanar_subset_rejected(self):
-        ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 7)])
-        with pytest.raises(DegenerateInput):
-            min_area_triangles_in_plane(ps, range(4))
-
-    def test_all_collinear(self):
-        ps = PointSet([(i, 0) for i in range(4)])
-        with pytest.raises(AllDegenerate):
-            min_area_triangles_in_plane(ps)
-
-
-class TestEmptySlabs:
-    def test_one_sided(self):
-        ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 5)])
-        above, below = empty_slabs(ps, plane_key(ps, (0, 1, 2)))
-        assert above.dist_sq == 25 and above.count == 1 and above.nearest == (4,)
-        assert below is None
-
-    def test_tied_distances(self):
-        ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0),
-                       (5, 7, 1), (9, 2, 1), (3, 3, 2)])
-        above, below = empty_slabs(ps, plane_key(ps, (0, 1, 2)))
-        assert above.dist_sq == 1 and above.count == 2
-        assert above.nearest == (3, 4)
-        assert below is None
-
-    def test_all_on_plane(self):
-        ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
-        above, below = empty_slabs(ps, plane_key(ps, (0, 1, 2)))
-        assert above is None and below is None
-
-
 # runs of five or more collinear sites, where a face (a, z) with a site on
 # the open segment az and two later sites on its line is skipped: six per
 # line in the prism and in the three parallel lines, and three skew lines of
@@ -278,20 +144,30 @@ DUPLICATES_3D = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1),
 
 
 def check_contributing_3d(ps):
-    """Each contributing (plane, slab) pair equals the plane's exhaustive
-    reference, min_area_triangles_in_plane, which shares no code with the
-    scan, and the matching side of its empty slabs, the pairs are the
-    (plane, side) of the faces of the oracle's witnesses, and they come in
-    the order the CLI prints them: by the primitive normal g = N / gcd(N) of
-    the key (N, o), then by o / gcd(N), "below" first.  On integer sets that
-    is the order of (N, o)."""
+    """Each contributing (plane, slab) pair matches the brute force, which
+    shares no code with the scan: the incident points are those the key
+    contains, the oracle's minimum-area triangles of that subset give the
+    squared area, the count and the witnesses, rich_lines gives its lines,
+    and the slab holds the nearest points on its side (nearest_on_side).
+    The pairs are the (plane, side) of the faces of the oracle's witnesses,
+    and they come in the order the CLI prints them: by the primitive normal
+    g = N / gcd(N) of the key (N, o), then by o / gcd(N), "below" first.  On
+    integer sets that is the order of (N, o)."""
     report = min_volume_tetrahedra(ps)
     order = [(primitive_vector(s.key.normal), F(s.key.offset, math.gcd(*s.key.normal)),
               slab.side == "above") for s, slab in report.contributing]
     assert order == sorted(set(order))
     for summary, slab in report.contributing:
-        assert summary == min_area_triangles_in_plane(ps, summary.incident)
-        assert slab == dict(zip(("above", "below"), empty_slabs(ps, summary.key)))[slab.side]
+        incident = summary.incident
+        assert incident == tuple(i for i, p in enumerate(ps.points) if summary.key.contains(p))
+        sub = PointSet([ps.points[i] for i in incident], allow_duplicates=True)
+        oracle = min_volume_simplices(sub, 2)
+        witnesses = tuple(tuple(incident[i] for i in tri) for tri in oracle.witnesses)
+        assert summary == PlaneSummary(
+            plane_key(ps, witnesses[0]), incident, len(incident), len(rich_lines(sub, 2).lines),
+            oracle.min_squared_volume, oracle.count, witnesses)
+        dist_sq, nearest = nearest_on_side(ps, summary.key, {"above": 1, "below": -1}[slab.side])
+        assert slab == SlabRecord(summary.key, slab.side, dist_sq, len(nearest), nearest)
     expected = set()
     for tet in min_volume_simplices(ps, 3).witnesses:
         for apex in tet:
@@ -582,20 +458,28 @@ CONTRIBUTING_2D = pytest.mark.parametrize("ps", [
 
 
 def check_contributing_2d(ps):
-    """Each contributing (line, side) pair equals the line's own shortest
-    segments and the side of its empty slabs whose nearest points lie on
-    that side of the line key, the pairs are the (line, side) of the edges
-    of the oracle's witnesses, and they come by direction, then moment,
-    below first."""
+    """Each contributing (line, side) pair matches the brute force: the
+    incident points are those the key contains, the oracle's shortest
+    segments of that subset give the squared length, the count and the
+    witnesses, and the record holds the nearest points on the side of the
+    line, found on either side of its hyperplane key and picked by the line
+    key's side_of.  The pairs are the (line, side) of the edges of the
+    oracle's witnesses, and they come by direction, then moment, below
+    first."""
     report = min_area_triangles(ps)
     for summary, record in report.contributing:
-        run = shortest_segments_on_line(ps, summary.incident)
-        assert (summary.min_length_sq, summary.count, summary.witnesses) == (
-            run.min_length_sq, run.count, run.pairs)
+        incident = summary.incident
+        assert incident == tuple(i for i, p in enumerate(ps.points) if summary.key.contains(p))
+        sub = PointSet([ps.points[i] for i in incident], allow_duplicates=True)
+        oracle = min_volume_simplices(sub, 1)
+        witnesses = tuple(tuple(incident[i] for i in seg) for seg in oracle.witnesses)
+        assert summary == LineSummary(line_key(ps, *witnesses[0]), incident, len(incident),
+                                      oracle.min_squared_volume, oracle.count, witnesses)
         sign = {"above": 1, "below": -1}[record.side]
-        slab, = [slab for slab in empty_slabs(ps, hyperplane_key(ps, summary.witnesses[0]))
-                 if slab and summary.key.side_of(ps.points[slab.nearest[0]]) == sign]
-        assert (record.dist_sq, record.nearest) == (slab.dist_sq, slab.nearest)
+        line = hyperplane_key(ps, witnesses[0])
+        (dist_sq, nearest), = [found for found in (nearest_on_side(ps, line, s) for s in (1, -1))
+                               if found[1] and summary.key.side_of(ps.points[found[1][0]]) == sign]
+        assert record == LineSideRecord(summary.key, record.side, dist_sq, len(nearest), nearest)
     expected = set()
     for tri in min_volume_simplices(ps, 2).witnesses:
         for apex in tri:
