@@ -24,6 +24,7 @@ from .exact import (
     LineKey,
     PointSet,
     _det,
+    _scalar,
     face_normal,
     integer_coordinates,
     integer_hyperplane_key,
@@ -157,7 +158,7 @@ def count_simplices_with_volume(ps: PointSet, target: Fraction, k: int,
     d = ps.dim
     if not 1 <= k <= d:
         raise ValueError(f"k must be in 1..{d}, got {k}")
-    target = Fraction(target)
+    target = _scalar(target)
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
     coords, scale = integer_coordinates(ps)

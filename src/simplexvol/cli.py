@@ -17,14 +17,13 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import bruteforce
 from .charging import ChargingBoundExceeded, verify_charging
 from .constructions import FAMILIES, gen_lattice_slab3d, gen_min_tetra_prism, gen_random_rational
 from .distinct import best_common_face
-from .exact import AllDegenerate, DegenerateInput, PointSet
-from .pointfile import _parse_scalar, content_digest, load_point_file, write_point_file
+from .exact import AllDegenerate, DegenerateInput, PointSet, _scalar
+from .pointfile import content_digest, load_point_file, write_point_file
 from .reporter import (_gc_paused, _minimal, _n_lines, _rows, min_area_triangles,
                        min_volume_tetrahedra)
 
@@ -103,17 +102,6 @@ def _contributing_json(pts, idx, tied, scale) -> str:
     return f"[{', '.join(records)}]"
 
 
-def _oracle_check(ps: PointSet, k: int, min_sq, count, witnesses) -> dict:
-    """Compare a reporter's minimum, count and witnesses with the brute force."""
-    oracle = bruteforce.min_volume_simplices(ps, k)
-    return {
-        "match": (min_sq == oracle.min_squared_volume and count == oracle.count
-                  and tuple(witnesses) == tuple(oracle.witnesses)),
-        "min_squared_volume": str(oracle.min_squared_volume),
-        "count": oracle.count,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -124,13 +112,13 @@ def cmd_gen(args) -> int:
     kwargs = {"n": args.n}
     if family == "prism3d":
         if args.epsilon is not None:
-            kwargs["epsilon"] = Fraction(_parse_scalar(args.epsilon))
+            kwargs["epsilon"] = _scalar(args.epsilon)
     elif family == "klines":
         if args.k is None or args.d is None:
             raise ValueError("klines needs --k and --d")
         kwargs.update(k=args.k, d=args.d)
         if args.epsilon is not None:
-            kwargs["epsilon"] = Fraction(_parse_scalar(args.epsilon))
+            kwargs["epsilon"] = _scalar(args.epsilon)
     elif family == "dlines_distinct":
         if args.d is None:
             raise ValueError("dlines_distinct needs --d")
@@ -172,96 +160,80 @@ def _subset_budget(ps: PointSet, size: int) -> None:
                          f"subsets (limit {SUBSET_LIMIT})")
 
 
+# dimension -> the result keys of the minimum, of the sum of the facet
+# products and of the number of hyperplanes; the first and last are also
+# the names of the library report's fields
+_KEYS = {3: ("min_volume", "sum_face_products", "n_planes"),
+         2: ("min_area", "sum_side_products", "n_lines")}
+
+
 def cmd_minvol(args) -> int:
+    return _minimal_command(args, 3)
+
+
+def cmd_minarea(args) -> int:
+    return _minimal_command(args, 2)
+
+
+def _minimal_command(args, dim: int) -> int:
     ps = load_point_file(args.input)
-    if ps.dim != 3:
-        raise ValueError(f"minvol needs a 3D point file, got dim {ps.dim}")
+    if ps.dim != dim:
+        raise ValueError(f"{args.command} needs a {dim}D point file, got dim {ps.dim}")
     if args.oracle:
         _oracle_budget(ps)
     witness_run = args.report_witnesses or args.oracle or args.check_charging
     # A witness run keeps the cyclic garbage collector paused, as the
     # library's witness build does, over the solve, the oracle, the charging
     # check and the JSON encoding, which all run while the witness list is
-    # alive.  They run in _minvol, whose objects are freed when it returns,
+    # alive.  They run in _solve, whose objects are freed when it returns,
     # so no deferred collection walks them once the collector resumes.
     with _gc_paused() if witness_run else contextlib.nullcontext():
-        return _minvol(ps, args, witness_run)
+        return _solve(ps, args, dim, witness_run)
 
 
-def _minvol(ps, args, witness_run) -> int:
+def _solve(ps, args, dim: int, witness_run) -> int:
+    minimum, products, flats = _KEYS[dim]
     start = time.perf_counter()
     # Runs without witnesses call the public reporter, the name through which
     # perfbench traces the reporter; witness runs build the contributing
-    # records only when they print them, and then straight as JSON.
+    # records only when minvol prints them, and then straight as JSON.
     contributing = None
     if witness_run:
-        vol, count, n_planes, wit, solved = _minimal(ps, 3, True)
-        if args.report_witnesses:
+        value, count, n_flats, wit, solved = _minimal(ps, dim, True)
+        if args.report_witnesses and dim == 3:
             contributing = _contributing_json(*solved)
     else:
-        report = min_volume_tetrahedra(ps, witnesses=False)
-        vol, count, n_planes = report.min_volume, report.count, report.n_planes
+        report = (min_volume_tetrahedra if dim == 3 else min_area_triangles)(ps, witnesses=False)
+        value, count, n_flats = getattr(report, minimum), report.count, getattr(report, flats)
     elapsed = time.perf_counter() - start
     results = {
-        "min_volume": str(vol),
-        "min_volume_sq": str(vol * vol),
+        minimum: str(value),
+        f"{minimum}_sq": str(value * value),
         "count": count,
-        "sum_face_products": 4 * count,
-        "n_planes": n_planes,
+        products: (dim + 1) * count,
+        flats: n_flats,
     }
     if args.report_witnesses:
         results["witnesses"] = wit  # tuples encode as JSON arrays
-    if args.oracle:
-        results["oracle"] = _oracle_check(ps, 3, vol * vol, count, wit)
-    if args.check_charging:
-        check = verify_charging(ps, witnesses=wit)
-        results["charging"] = {
-            "max_per_face": check.max_per_face,
-            "max_per_face_side": check.max_per_face_side,
-            "n_witnesses": check.n_witnesses,
+    if args.oracle:  # compare the minimum, count and witnesses with the brute force
+        oracle = bruteforce.min_volume_simplices(ps, dim)
+        results["oracle"] = {
+            "match": (value * value == oracle.min_squared_volume and count == oracle.count
+                      and tuple(wit) == tuple(oracle.witnesses)),
+            "min_squared_volume": str(oracle.min_squared_volume),
+            "count": oracle.count,
         }
-    _emit(_document("minvol", ps, {
-        "oracle": args.oracle,
-        "report_witnesses": args.report_witnesses,
-        "check_charging": args.check_charging,
-    }, results, elapsed), contributing)
-    return 4 if args.oracle and not results["oracle"]["match"] else 0
-
-
-def cmd_minarea(args) -> int:
-    ps = load_point_file(args.input)
-    if ps.dim != 2:
-        raise ValueError(f"minarea needs a 2D point file, got dim {ps.dim}")
-    if args.oracle:
-        _oracle_budget(ps)
-    witness_run = args.report_witnesses or args.oracle
-    with _gc_paused() if witness_run else contextlib.nullcontext():  # as in minvol
-        return _minarea(ps, args, witness_run)
-
-
-def _minarea(ps, args, witness_run) -> int:
-    start = time.perf_counter()
-    if witness_run:  # minarea prints no records
-        area, count, n_lines, wit, _ = _minimal(ps, 2, True)
-    else:
-        report = min_area_triangles(ps, witnesses=False)
-        area, count, n_lines = report.min_area, report.count, report.n_lines
-    elapsed = time.perf_counter() - start
-    results = {
-        "min_area": str(area),
-        "min_area_sq": str(area * area),
-        "count": count,
-        "sum_side_products": 3 * count,
-        "n_lines": n_lines,
-    }
-    if args.report_witnesses:
-        results["witnesses"] = wit  # tuples encode as JSON arrays
-    if args.oracle:
-        results["oracle"] = _oracle_check(ps, 2, area * area, count, wit)
-    _emit(_document("minarea", ps, {
-        "oracle": args.oracle,
-        "report_witnesses": args.report_witnesses,
-    }, results, elapsed))
+    parameters = {"oracle": args.oracle, "report_witnesses": args.report_witnesses}
+    if dim == 3:
+        parameters["check_charging"] = args.check_charging
+        if args.check_charging:
+            check = verify_charging(ps, witnesses=wit)
+            results["charging"] = {
+                "max_per_face": check.max_per_face,
+                "max_per_face_side": check.max_per_face_side,
+                "n_witnesses": check.n_witnesses,
+            }
+    _emit(_document(args.command, ps, parameters, results, elapsed), contributing)
     return 4 if args.oracle and not results["oracle"]["match"] else 0
 
 
@@ -291,7 +263,7 @@ def cmd_distinct(args) -> int:
 def cmd_count(args) -> int:
     ps = load_point_file(args.input)
     k = args.k if args.k is not None else ps.dim
-    target = Fraction(_parse_scalar(args.volume))
+    target = _scalar(args.volume)
     if 1 <= k <= ps.dim:  # bruteforce refuses any other k
         _subset_budget(ps, k + 1)
     start = time.perf_counter()
@@ -324,6 +296,9 @@ def cmd_bench(args) -> int:
     if args.family not in BENCH_FAMILIES:
         raise ValueError(f"unsupported benchmark family {args.family!r}")
     build, reporter, dim = BENCH_FAMILIES[args.family]
+    if min(sizes) <= dim:
+        raise ValueError(f"size {min(sizes)} cannot span a {dim}-simplex, "
+                         f"which needs {dim + 1} points")
     seconds = []
     oracle_seconds = []
     counts = []
@@ -436,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     minarea.add_argument("input")
     minarea.add_argument("--oracle", action="store_true")
     minarea.add_argument("--report-witnesses", action="store_true")
-    minarea.set_defaults(handler=cmd_minarea)
+    minarea.set_defaults(handler=cmd_minarea, check_charging=False)
 
     distinct = sub.add_parser("distinct", help="count distinct simplex volumes")
     distinct.add_argument("input")

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import PointSet
+from .exact import PointSet, _scalar
 
 __all__ = [
     "ConstructionOutput",
@@ -35,9 +35,7 @@ class ConstructionOutput:
 def _eps(value, default: Fraction) -> Fraction:
     if value is None:
         return default
-    if isinstance(value, float):
-        raise TypeError("epsilon must be exact (int, Fraction or 'p/q' string)")
-    eps = Fraction(value)
+    eps = _scalar(value)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
     return eps
@@ -155,6 +153,8 @@ def gen_lattice_slab3d(n: int) -> PointSet:
 def gen_random_rational(n: int, d: int, seed: int, bound: int = 10) -> PointSet:
     """n distinct points with integer coordinates drawn uniformly from
     [-bound, bound]^d by a seeded deterministic generator."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
     if n > (2 * bound + 1) ** d:

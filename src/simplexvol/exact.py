@@ -71,13 +71,27 @@ class AllDegenerate(GeometryError):
 
 
 def _scalar(x) -> Fraction:
-    # Floats are deliberately rejected: Fraction(0.1) would silently encode the
-    # binary approximation, breaking exactness guarantees.
+    """x as a Fraction.  A string is read as an ASCII ``-?[0-9]+`` by int,
+    an ASCII ``-?[0-9]+/[0-9]+`` by a Fraction of two ints, and any other
+    string by Fraction(x), so every string keeps the value or the error that
+    Fraction(x) gives it, except that one with a decimal exponent (``e`` or
+    ``E``) is refused: Fraction would compute 10**exponent, and the 12 bytes
+    ``1e999999999`` would never finish.  Floats are rejected: Fraction(0.1)
+    would silently encode the binary approximation."""
+    if isinstance(x, str):  # first: isinstance(x, Fraction) is an ABC check for a str
+        if x.isascii():
+            num, slash, den = x.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit():
+                    return Fraction(int(num), int(den))
+        if "e" in x or "E" in x:
+            raise ValueError(f"decimal exponent refused in {x!r}")
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(
         f"exact coordinate expected (int, Fraction or 'p/q' string), got {type(x).__name__}"

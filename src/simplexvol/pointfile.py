@@ -11,11 +11,10 @@ normalization, and values are never rounded.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .exact import PointSet
+from .exact import PointSet, _scalar
 
 __all__ = [
     "parse_point_file",
@@ -24,25 +23,6 @@ __all__ = [
     "write_point_file",
     "content_digest",
 ]
-
-
-def _parse_scalar(token: str):
-    """The value of one rational token: an ASCII ``-?[0-9]+`` by int, an
-    ASCII ``-?[0-9]+/[0-9]+`` by Fraction of two ints, and any other token
-    by Fraction(token), so every token keeps the value or the error that
-    Fraction(token) gives it, except that a token with a decimal exponent
-    (``e`` or ``E``) is refused: Fraction would compute 10**exponent, and
-    the 12 bytes ``1e999999999`` would never finish."""
-    if token.isascii():
-        num, slash, den = token.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit():
-            if not slash:
-                return int(num)
-            if den.isdigit():
-                return Fraction(int(num), int(den))
-    if "e" in token or "E" in token:
-        raise ValueError(f"decimal exponent refused in {token!r}")
-    return Fraction(token)
 
 
 def parse_point_file(text: str, allow_duplicates: bool = False) -> PointSet:
@@ -68,7 +48,7 @@ def parse_point_file(text: str, allow_duplicates: bool = False) -> PointSet:
             raise ValueError(
                 f"line {lineno}: expected {dim} coordinates, got {len(parts)}")
         try:
-            rows.append(tuple(map(_parse_scalar, parts)))
+            rows.append(tuple(map(_scalar, parts)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: bad rational value ({exc})")
     if dim is None:

@@ -77,6 +77,13 @@ def test_count_volume_examples():
         count_simplices_with_volume(ps, F(1), 5)
 
 
+def test_count_refuses_a_float_target():
+    # a float holds a binary approximation, not the exact target
+    ps = PointSet([(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)])
+    with pytest.raises(TypeError):
+        count_simplices_with_volume(ps, 1.0, 3)
+
+
 def test_count_volume_shuffle_consistent():
     grid = gen_lattice2d(9)
     base = count_simplices_with_volume(grid, F(1, 2), 2)

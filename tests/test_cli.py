@@ -240,7 +240,10 @@ EXIT_CODES = {
     },
     "bench": {
         0: [(None, ["--family", "random3d", "--sizes", "8"], ())],
-        2: [(None, ["--family", "lattice2d", "--sizes", "8"], ())],
+        2: [(None, ["--family", "lattice2d", "--sizes", "8"], ()),
+            # too few points to span a simplex
+            (None, ["--family", "random3d", "--sizes", "3"], ()),
+            (None, ["--family", "lattice_slab3d", "--sizes", "2"], ())],
         3: None,  # every family builds sets with a positive minimum at every size it accepts
         4: None,  # bench verifies nothing
     },
@@ -378,6 +381,75 @@ def test_verification_run_prints_the_json_of_the_library_report(tmp_path, capsys
                          "max_per_face_side": check.max_per_face_side,
                          "n_witnesses": check.n_witnesses},
         },
+        "timing_seconds": report_of(out)["timing_seconds"],
+    }
+    assert_same_text(out, json.dumps(doc, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("ps", [
+    gen_lattice2d(25),
+    # the 2D sets of the verification run in CI
+    gen_random_rational(20, 2, seed=0, bound=10 ** 20),
+    gen_min_ksimplex_lines(20, 2, 2, epsilon=F(1, 7)).points,
+], ids=["lattice25", "big20-2d", "klines20-2d"])
+def test_minarea_verification_run_prints_the_json_of_the_library_report(tmp_path, capsys, ps):
+    # byte for byte, as for minvol: minarea has no records and no charging check
+    path = str(tmp_path / "points.txt")
+    write_point_file(path, ps, [])
+    code, out, _ = run(capsys, "minarea", path, "--report-witnesses", "--oracle")
+    assert code == 0
+    ps = load_point_file(path)
+    report = min_area_triangles(ps)
+    oracle = bruteforce.min_volume_simplices(ps, 2)
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": "minarea",
+        "input_digest": simplexvol.content_digest(ps),
+        "parameters": {"oracle": True, "report_witnesses": True},
+        "results": {
+            "min_area": str(report.min_area),
+            "min_area_sq": str(report.min_area ** 2),
+            "count": report.count,
+            "sum_side_products": 3 * report.count,
+            "n_lines": report.n_lines,
+            "witnesses": [list(w) for w in report.witnesses],
+            "oracle": {"match": True, "min_squared_volume": str(oracle.min_squared_volume),
+                       "count": oracle.count},
+        },
+        "timing_seconds": report_of(out)["timing_seconds"],
+    }
+    assert_same_text(out, json.dumps(doc, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("command, ps", [
+    ("minvol", gen_min_tetra_prism(16).points),
+    ("minvol", gen_random_rational(20, 3, seed=0, bound=10 ** 20)),
+    ("minarea", gen_lattice2d(25)),
+    ("minarea", gen_min_ksimplex_lines(20, 2, 2, epsilon=F(1, 7)).points),
+], ids=["minvol-prism16", "minvol-big20", "minarea-lattice25", "minarea-klines20-2d"])
+def test_witness_free_run_prints_the_json_of_the_library_report(tmp_path, capsys, command, ps):
+    path = str(tmp_path / "points.txt")
+    write_point_file(path, ps, [])
+    code, out, _ = run(capsys, command, path)
+    assert code == 0
+    ps = load_point_file(path)
+    if command == "minvol":
+        report = min_volume_tetrahedra(ps, witnesses=False)
+        parameters = {"oracle": False, "report_witnesses": False, "check_charging": False}
+        results = {"min_volume": str(report.min_volume),
+                   "min_volume_sq": str(report.min_volume ** 2),
+                   "sum_face_products": 4 * report.count, "n_planes": report.n_planes}
+    else:
+        report = min_area_triangles(ps, witnesses=False)
+        parameters = {"oracle": False, "report_witnesses": False}
+        results = {"min_area": str(report.min_area), "min_area_sq": str(report.min_area ** 2),
+                   "sum_side_products": 3 * report.count, "n_lines": report.n_lines}
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": command,
+        "input_digest": simplexvol.content_digest(ps),
+        "parameters": parameters,
+        "results": dict(results, count=report.count),
         "timing_seconds": report_of(out)["timing_seconds"],
     }
     assert_same_text(out, json.dumps(doc, sort_keys=True) + "\n")

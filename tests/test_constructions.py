@@ -175,3 +175,7 @@ class TestRandomRational:
     def test_capacity_check(self):
         with pytest.raises(ValueError):
             gen_random_rational(10, 1, seed=0, bound=4)  # only 9 slots
+
+    def test_negative_n_refused(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            gen_random_rational(-3, 2, seed=0)

@@ -7,6 +7,8 @@ import pytest
 from simplexvol import (
     PointSet,
     content_digest,
+    count_simplices_with_volume,
+    gen_min_ksimplex_lines,
     gen_min_tetra_prism,
     gen_random_rational,
     parse_point_file,
@@ -110,3 +112,21 @@ def test_decimal_exponent_refused(token):
         parse_point_file(f"dim 1\n{token}\n")
     message = f"decimal exponent refused in {token!r}"
     assert str(raised.value) == f"line 2: bad rational value ({message})"
+
+
+@pytest.mark.parametrize("token", ["1e3", "1E-2", "2.5e1"])
+def test_library_strings_take_the_point_file_parser(token):
+    # PointSet strings, generator epsilon and the count target refuse the
+    # exponent as a point file does, and read every other token alike
+    tetra = PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    message = f"decimal exponent refused in {token!r}"
+    for call in (lambda: PointSet([(token, 0)]),
+                 lambda: gen_min_tetra_prism(8, epsilon=token),
+                 lambda: gen_min_ksimplex_lines(8, 2, 2, epsilon=token),
+                 lambda: count_simplices_with_volume(tetra, token, 3)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+    assert PointSet([("-3/6", "0.25")]).points == ((F(-1, 2), F(1, 4)),)
+    assert count_simplices_with_volume(tetra, "1/6", 3).count == 1
+    assert gen_min_tetra_prism(8, epsilon="1/64") == gen_min_tetra_prism(8, epsilon=F(1, 64))
