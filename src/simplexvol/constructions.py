@@ -83,8 +83,8 @@ def gen_min_ksimplex_lines(n: int, k: int, d: int, epsilon=None) -> Construction
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    if n % k != 0:
-        raise ValueError(f"number of points {n} must be divisible by k={k}")
+    if n % k != 0 or n < 2 * k:  # every minimum takes two points on one line
+        raise ValueError(f"number of points {n} must be a multiple of k={k}, at least 2k")
     eps = _eps(epsilon, Fraction(1))
     m = n // k
     rows = []
@@ -129,7 +129,7 @@ def gen_distinct_volume_lines(n: int, d: int) -> ConstructionOutput:
 
 def gen_lattice2d(n: int) -> PointSet:
     """The sqrt(n) x sqrt(n) section of the integer lattice."""
-    side = math.isqrt(n)
+    side = math.isqrt(max(n, 0))
     if side * side != n:
         raise ValueError(f"lattice size must be a perfect square, got {n}")
     rows = [(x, y) for y in range(side) for x in range(side)]
@@ -140,8 +140,8 @@ def gen_lattice_slab3d(n: int) -> PointSet:
     """Two parallel copies of the integer-lattice section, n/2 points each,
     at heights 0 and 3: every unit-area triangle in one copy makes a
     unit-volume tetrahedron with every point of the other."""
-    if n % 2 != 0:
-        raise ValueError(f"slab size must be even, got {n}")
+    if n % 2 != 0 or n < 0:
+        raise ValueError(f"slab size must be even and nonnegative, got {n}")
     half = n // 2
     side = math.isqrt(half)
     if side * side != half:

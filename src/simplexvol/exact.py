@@ -2,13 +2,14 @@
 
 Every predicate and measure in this package is exact.  Inputs and reported
 values are arbitrary-precision rationals (`fractions.Fraction`), while the hot
-loops run on the denominator-cleared integers of integer_coordinates.  The one
-use of floats is the fast reporter's angle order of directions, keyed by float
-slopes and checked with integer cross products, with exact Fractions in place
-of floats where that check fails (reporter._window_pairs); no rounded value
-reaches a result.  Quantities that would be irrational (lengths, areas,
-k-volumes for k below the ambient dimension) are handled in squared form,
-which keeps them rational and preserves order on nonnegative values.
+loops run on the denominator-cleared integers of integer_coordinates.  The fast
+reporter keys its angle order of directions by float slopes, checked with exact
+cross products, with exact Fractions where that check fails, and holds its
+integers as floats when all it forms are below 2^53, with a relative slack of
+2^-48 on the squared tests that round (reporter._window_pairs); no rounded
+value reaches a result.  Quantities that would be irrational (lengths, areas,
+k-volumes for k below the ambient dimension) are handled in squared form, which
+keeps them rational and preserves order on nonnegative values.
 """
 
 from __future__ import annotations

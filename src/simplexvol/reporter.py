@@ -37,14 +37,18 @@ products sum to four times the count.  The 2D analogue counts every
 minimum-area triangle once per side and divides by three.
 
 Every result is exact.  Candidate measures are compared as integer cross
-products, and reported values are exact rationals.  Only the angle order of
-a face's directions uses floats: each direction is keyed by its slope
-wy / wx, a quotient of two ints that Python rounds correctly.  Rounding is
-monotone, so directions with different floats are in their exact order, and
-two directions share a float only when an entry of W exceeds about 2^26.  A
-run of equal floats is checked with integer cross products, and a face where
-that check fails, or where a slope is beyond the floats, is keyed again by
-exact Fractions (_window_pairs).
+products, and reported values are exact rationals.  When the reduced span
+keeps every integer the scan forms below 2^53, the scan holds them as
+floats, which store them exactly (_scan); only the squared tests of
+_window_pairs pass 2^53 and round, and a relative slack of 2^-48 on them
+lets a rounding delay a decision but never change one.  The angle order of
+a face's directions is keyed by floats: each direction by its slope
+wy / wx, a quotient of two exact integers that Python rounds correctly.
+Rounding is monotone, so directions with different floats are in their
+exact order, and two directions share a float only when an entry of W
+exceeds about 2^26.  A run of equal floats is checked with exact cross
+products, and a face where that check fails, or where a slope is beyond the
+floats, is keyed again by exact Fractions (_window_pairs).
 
 On random points most faces are settled without pairing, by the
 neighbour-gap certificate of _window_pairs, so a scan costs about the
@@ -163,9 +167,10 @@ class MinAreaReport:
 # scaled-integer internals
 
 _VERTICAL = -math.inf  # the key of the directions with wx == 0, below every slope
+_EXACT_FLOAT = 2 ** 53  # floats hold every integer below it
 
 
-def _window_pairs(view, a, u, heads, tails, weight, best, collect):
+def _window_pairs(view, a, u, heads, tails, weight, best, collect, slack):
     """Least positive |det(u, c - a, d - a)|, at most best, over the later
     sites c, d of view, returned as (least, count, ties, n_lone, multi,
     axis).  view holds the sites as integer (i, j, k) triples and u is an
@@ -233,13 +238,20 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
     <= 0 and then >= 0 behind, so the right angle itself is taken ahead
     only.  W_x x W_z, like bound, is a multiple of |u_k|.  Memory is
     O(len(view)) plus the ties.
+
+    The sites and u are ints, with slack 1, or floats that hold integers
+    exactly, with slack 1 + 2^-48 (_scan).  On floats only the squared
+    tests, cr^2 r against bound^2 slack r, round: each side by two or three
+    roundings, about 5 ulps together, well inside the slack.  So a float
+    test can only keep a face unsettled or a walk going where the exact
+    test stops, and the exact cr <= bound finds the same pairs.
     """
     ui, uj, uk = u
     ai, aj, ak = view[a]
     e0, e1 = ui * ak - uk * ai, uj * ak - uk * aj
     size = abs(uk)
     bound = best * size  # |W_x x W_z| <= bound iff |det| <= best
-    bound_sq = bound * bound
+    bound_sq = bound * bound * slack
     exact = False  # float keys until they fail
     while True:
         items, axis = [], []
@@ -248,7 +260,7 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
                 ci, cj, ck = view[c]
                 wx, wy = uk * ci - ui * ck + e0, uk * cj - uj * ck + e1
                 if wx:
-                    items.append((Fraction(wy, wx) if exact else wy / wx,
+                    items.append((Fraction(int(wy), int(wx)) if exact else wy / wx,
                                   wx * wx + wy * wy, c, wx, wy))
                 elif wy:
                     items.append((_VERTICAL, wy * wy, c, 0, wy))
@@ -290,7 +302,7 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
         hi, hj, hk = view[h]
         wx, wy = uk * hi - ui * hk + e0, uk * hj - uj * hk + e1
         if wx:
-            key = Fraction(wy, wx) if exact else wy / wx
+            key = Fraction(int(wy), int(wx)) if exact else wy / wx
         elif wy:
             key = _VERTICAL
         else:
@@ -352,7 +364,7 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
             if cr <= bound:
                 if cr < bound:  # both are multiples of size
                     best, bound, count, ties = cr // size, cr, 0, []
-                    bound_sq = cr * cr
+                    bound_sq = cr * cr * slack
                 count += nx * ns[z]
                 if collect:
                     ties.append((sx, ss[z]))
@@ -369,7 +381,7 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
                 if cr <= bound:
                     if cr < bound:
                         best, bound, count, ties = cr // size, cr, 0, []
-                        bound_sq = cr * cr
+                        bound_sq = cr * cr * slack
                     count += nx * ns[z]
                     if collect:
                         ties.append((sx, ss[z]))
@@ -386,7 +398,7 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
             if cr <= bound:
                 if cr < bound:
                     best, bound, count, ties = cr // size, cr, 0, []
-                    bound_sq = cr * cr
+                    bound_sq = cr * cr * slack
                 count += nx * ns[z]
                 if collect:
                     ties.append((sx, ss[z]))
@@ -403,7 +415,7 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect):
                 if cr <= bound:
                     if cr < bound:
                         best, bound, count, ties = cr // size, cr, 0, []
-                        bound_sq = cr * cr
+                        bound_sq = cr * cr * slack
                     count += nx * ns[z]
                     if collect:
                         ties.append((sx, ss[z]))
@@ -459,7 +471,11 @@ def _scan(pts, weight, dim, collect):
     It runs on the per-axis reduced sites of _reduced, with smaller
     integers, and multiplies the least det back by their factor; the site
     indices stay, so the ties are those of pts, on which the records are
-    built.
+    built.  With span the largest reduced coordinate, every integer the
+    scan forms is at most 8 span^(2 dim - 2): |W|^2 and the cross and dot
+    products of W at most 8 span^4, bound at most 6 span^4 + span, and in
+    2D span^2 in place of span^4.  Below _EXACT_FLOAT, 2^53, the sites go
+    to _window_pairs as floats, which hold each of them exactly.
 
     Each simplex is found once, at its face of dim - 1 smallest sites, by
     _window_pairs along u over the later sites, whose classes are the flats
@@ -513,6 +529,9 @@ def _scan(pts, weight, dim, collect):
     span = max(map(max, pts))  # every reduced axis starts at 0
     # above every |det|: 2 span^2 in 2D, (3 span^2)^(3/2) in 3D
     best = math.factorial(dim) * span ** dim + 1
+    slack = 1
+    if 8 * span ** (2 * dim - 2) < _EXACT_FLOAT:  # it bounds every integer the scan forms
+        pts, slack = [tuple(map(float, p)) for p in pts], 1 + 2 ** -48
     count = n_flats = 0
     ties = []
     if dim == 2:
@@ -538,7 +557,7 @@ def _scan(pts, weight, dim, collect):
                 (ai, aj, ak), (bi, bj, bk) = view[a], view[b]
                 u = bi - ai, bj - aj, bk - ak
             least, pairs, tied, n_lone, multi, axis = _window_pairs(
-                view, a, u, heads[b], tails[b], weight, best, collect)
+                view, a, u, heads[b], tails[b], weight, best, collect, slack)
             if len(axis) < 2:
                 n_flats += n_lone * (-1 if axis else 1)
                 if dim == 3:
@@ -560,7 +579,7 @@ def _scan(pts, weight, dim, collect):
         if rays:
             heads[a] = [c for c in heads[a] if c not in shadowed]
             tails[a] = rays
-    return best * factor, count, n_flats, ties
+    return int(best) * factor, count, n_flats, ties
 
 
 def _sites(coords, indices):

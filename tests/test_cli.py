@@ -207,7 +207,12 @@ def test_minvol_charging_bound_exceeded_exits_4(tmp_path, capsys, monkeypatch):
 EXIT_CODES = {
     "gen": {
         0: [(None, ["--family", "prism3d", "--n", "8", "--out", "{out}"], ())],
-        2: [(None, ["--family", "prism3d", "--n", "10", "--out", "{out}"], ())],
+        2: [(None, ["--family", "prism3d", "--n", "10", "--out", "{out}"], ()),
+            # fewer than two points per line, so no minimum to state
+            (None, ["--family", "klines", "--n", "-4", "--k", "2", "--d", "2", "--out", "{out}"], ()),
+            (None, ["--family", "klines", "--n", "2", "--k", "2", "--d", "2", "--out", "{out}"], ()),
+            (None, ["--family", "lattice2d", "--n", "-4", "--out", "{out}"], ()),
+            (None, ["--family", "lattice_slab3d", "--n", "-4", "--out", "{out}"], ())],
         3: None,  # gen builds no simplex: it writes the points or refuses the parameters
         4: None,  # gen verifies nothing
     },

@@ -106,6 +106,18 @@ class TestKLines:
         with pytest.raises(ValueError):
             gen_min_ksimplex_lines(6, 4, 3, F(1, 8))
 
+    @pytest.mark.parametrize("n,k,d", [(-4, 2, 2), (0, 1, 2), (2, 2, 2), (1, 1, 3), (4, 3, 3)])
+    def test_fewer_than_two_points_per_line_refused(self, n, k, d):
+        # every minimum takes two points on one line, so n/k < 2 has none
+        with pytest.raises(ValueError, match="at least 2k"):
+            gen_min_ksimplex_lines(n, k, d)
+
+    def test_two_points_per_line_is_the_smallest(self):
+        out = gen_min_ksimplex_lines(4, 2, 2)
+        result = min_volume_simplices(out.points, 2)
+        assert (result.count, result.min_squared_volume) == (
+            out.expected["count"], out.expected["min_squared_volume"]) == (4, F(1, 4))
+
 
 class TestDistinctLines:
     @pytest.mark.parametrize("d", [2, 3])
@@ -151,6 +163,12 @@ class TestLattices:
             gen_lattice_slab3d(12)  # 6 is not a perfect square
         with pytest.raises(ValueError):
             gen_lattice_slab3d(9)
+
+    def test_negative_sizes_refused_with_a_size_message(self):
+        with pytest.raises(ValueError, match="lattice size must be a perfect square, got -4"):
+            gen_lattice2d(-4)
+        with pytest.raises(ValueError, match="slab size must be even and nonnegative, got -8"):
+            gen_lattice_slab3d(-8)
 
 
 class TestRandomRational:

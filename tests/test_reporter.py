@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from operator import mul, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from simplexvol import (
     squared_distance_point_plane,
 )
 from simplexvol.exact import integer_coordinates, primitive_vector
+from simplexvol.pointfile import load_point_file
 import simplexvol.reporter as reporter
 from simplexvol.reporter import LineSideRecord, LineSummary, _collinear, _scan
 from helpers import PRIME_DENOMINATORS_3D, nearest_on_side, random_spanning
@@ -709,6 +711,90 @@ def test_slopes_past_the_floats_are_ordered_exactly(rows, dim, monkeypatch):
     assert (measure_sq, report.count, report.witnesses) == (
         oracle.min_squared_volume, oracle.count, oracle.witnesses)
     assert (report.n_lines if dim == 2 else report.n_planes) == n_flats
+
+
+def _scan_on_both_number_types(ps, collect):
+    """_scan on the sites of ps at the default float limit, then with the
+    limit at 0, which keeps the reduced sites ints, as pairs (result, the
+    number types of the sites it handed _window_pairs)."""
+    pts, weight = _scan_sites(ps)
+    window_pairs, types, runs = reporter._window_pairs, set(), []
+
+    def typed(view, *rest):
+        types.add(type(view[0][0]))
+        return window_pairs(view, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reporter, "_window_pairs", typed)
+        for limit in (reporter._EXACT_FLOAT, 0):
+            patch.setattr(reporter, "_EXACT_FLOAT", limit)
+            types.clear()
+            runs.append((_scan(pts, weight, ps.dim, collect), types.copy()))
+    return runs
+
+
+def assert_same_scan_on_floats_and_ints(ps, collect):
+    (on_floats, float_types), (on_ints, int_types) = _scan_on_both_number_types(ps, collect)
+    assert (float_types, int_types) == ({float}, {int})
+    assert type(on_floats[0]) is int
+    assert on_floats == on_ints  # (det, count, n_flats, ties)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(tie_heavy_3d(), tie_heavy_2d()), st.booleans())
+def test_scan_is_the_same_on_floats_and_ints_on_tie_heavy_sets(ps, collect):
+    """The reduced sites of these sets are small, so the scan runs on floats;
+    with the limit at 0 it runs the same code on ints."""
+    if len(_scan_sites(ps)[0]) > ps.dim:
+        assert_same_scan_on_floats_and_ints(ps, collect)
+
+
+@pytest.mark.parametrize("collect", [False, True])
+@pytest.mark.parametrize("ps", [
+    gen_min_tetra_prism(32).points,
+    gen_lattice_slab3d(18),
+    gen_lattice2d(36),
+    gen_random_rational(40, 3, seed=11, bound=1000),
+], ids=["prism32", "lattice-slab18", "lattice2d-36", "random40"])
+def test_scan_is_the_same_on_floats_and_ints(ps, collect):
+    assert_same_scan_on_floats_and_ints(ps, collect)
+
+
+# The largest reduced span whose scan takes floats, 8 span^(2 dim - 2) < 2^53.
+FLOAT_SPAN = {3: 5792, 2: 2 ** 25 - 1}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("past", [0, 1], ids=["floats", "ints"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scan_at_the_float_limit_matches_the_oracle(dim, past, seed):
+    """Sets of reduced span FLOAT_SPAN[dim] and one more, with the corners of
+    the box, so that their W, cross products and squared tests reach the
+    largest values of their side of the limit."""
+    span = FLOAT_SPAN[dim] + past
+    assert (8 * span ** (2 * dim - 2) < reporter._EXACT_FLOAT) == (not past)
+    rng = random.Random(seed)
+    corners = list(itertools.product((0, span), repeat=dim))
+    rows = corners + [tuple(rng.randint(0, span) for _ in range(dim)) for _ in range(16 - 2 * dim)]
+    ps = PointSet(rows)
+    pts, _ = _scan_sites(ps)
+    assert reporter._reduced(pts) == (pts, 1)
+    (_, types), _ = _scan_on_both_number_types(ps, False)
+    assert types == ({int} if past else {float})
+    report = (min_volume_tetrahedra if dim == 3 else min_area_triangles)(ps)
+    oracle = min_volume_simplices(ps, dim)
+    measure_sq = report.min_volume_sq if dim == 3 else report.min_area_sq
+    assert (measure_sq, report.count, report.witnesses) == (
+        oracle.min_squared_volume, oracle.count, oracle.witnesses)
+
+
+@pytest.mark.parametrize("span", [FLOAT_SPAN[3], FLOAT_SPAN[3] + 1])
+def test_limit_point_files_have_their_reduced_span(span):
+    """The verification run solves tests/data/span<span>.txt, 20 points on
+    each side of the float limit, with the oracle and the charging check."""
+    ps = load_point_file(str(Path(__file__).parent / "data" / f"span{span}.txt"))
+    reduced, factor = reporter._reduced(_scan_sites(ps)[0])
+    assert (len(ps), max(map(max, reduced)), factor) == (20, span, 1)
 
 
 def _mapped(ps, seed):
