@@ -24,8 +24,7 @@ from .constructions import FAMILIES, gen_lattice_slab3d, gen_min_tetra_prism, ge
 from .distinct import best_common_face
 from .exact import AllDegenerate, DegenerateInput, PointSet, _scalar
 from .pointfile import content_digest, load_point_file, write_point_file
-from .reporter import (_gc_paused, _minimal, _n_lines, _rows, min_area_triangles,
-                       min_volume_tetrahedra)
+from .reporter import _gc_paused, _minimal, _rows, min_area_triangles, min_volume_tetrahedra
 
 SCHEMA_VERSION = 3
 ORACLE_SIZE_LIMIT = 30  # points; the brute force is ~n^4 (n^3 in 2D) and is refused above
@@ -63,42 +62,27 @@ def _document(command: str, ps: PointSet | None, parameters: dict,
 
 def _contributing_json(pts, idx, tied, scale) -> str:
     """The contributing records of min_volume_tetrahedra as JSON text, the
-    array that json.dumps(records, sort_keys=True) writes, made in one pass
-    over the reporter's rows with no record objects: pts are the solved
+    array that json.dumps(records, sort_keys=True) writes, formatted from
+    the reporter's per-plane rows with no record objects: pts are the solved
     sites, idx[s] the input indices at site s and tied the tied site
     simplices.  In key order a record's side fields (dist_sq,
-    nearest_count, side) fall among its hyperplane's, so each hyperplane
-    formats its own fields once, as the two pieces of text between its side
-    fields, and each record is one f-string of its side fields and those
-    pieces.  Each count sums the products of the site weights, which is the
-    length of a site list when every site holds one input point."""
-    weight = [len(i) for i in idx]
-    single = len(weight) == sum(weight)
-    area_den, dist_den = 4 * scale ** 4, scale * scale
+    nearest_count, side) fall among its plane's, so each row formats its
+    plane's fields once, as the two pieces of text between the side fields,
+    and each side is one f-string of its fields and those pieces."""
 
     def exact(num, den):
         g = math.gcd(num, den)  # den > 0: the string of Fraction(num, den)
         return str(num // g) if g == den else f"{num // g}/{den // g}"
 
     records = []
-    plane_facets = None
-    for g, t, above, on, facets, apexes, nn, dt_sq in _rows(pts, tied):
-        if facets is not plane_facets:  # a new hyperplane: its rows share one facet list
-            plane_facets = facets
-            g0, g1, g2 = g
-            # g is primitive, so (scale g, t) reduces by gcd(scale, t)
-            h = math.gcd(scale, t)
-            n_points = len(on) if single else sum(map(weight.__getitem__, on))
-            count = len(facets) if single else sum(
-                [math.prod(map(weight.__getitem__, facet)) for facet in facets])
-            counts = (f'", "min_area_count": {count}, "min_area_sq": "{exact(nn, area_den)}", '
-                      f'"n_lines": {_n_lines(pts, on)}, "n_points": {n_points}, "nearest_count": ')
-            plane = (f', "plane": {{"normal": [{scale * g0 // h}, {scale * g1 // h}, '
-                     f'{scale * g2 // h}], "offset": {t // h}}}, "side": "')
-            g_den = (g0 * g0 + g1 * g1 + g2 * g2) * dist_den
-        nearest = len(apexes) if single else sum(map(weight.__getitem__, apexes))
-        records.append(f'{{"dist_sq": "{exact(dt_sq, g_den)}{counts}{nearest}{plane}'
-                       f'{"above" if above else "below"}"}}')
+    for (_, _, ((n0, n1, n2), offset), _, _, n_points, n_facets, n_lines, measure, dist_den,
+         sides) in _rows(pts, idx, tied, scale):
+        counts = (f'", "min_area_count": {n_facets}, "min_area_sq": "{exact(*measure)}", '
+                  f'"n_lines": {n_lines}, "n_points": {n_points}, "nearest_count": ')
+        plane = f', "plane": {{"normal": [{n0}, {n1}, {n2}], "offset": {offset}}}, "side": "'
+        for above, _, nearest, dt_sq in sides:
+            records.append(f'{{"dist_sq": "{exact(dt_sq, dist_den)}{counts}{nearest}{plane}'
+                           f'{"above" if above else "below"}"}}')
     return f"[{', '.join(records)}]"
 
 
@@ -299,18 +283,19 @@ def cmd_bench(args) -> int:
     if min(sizes) <= dim:
         raise ValueError(f"size {min(sizes)} cannot span a {dim}-simplex, "
                          f"which needs {dim + 1} points")
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     seconds = []
     oracle_seconds = []
     counts = []
     for n in sizes:
         ps = build(n)
-        best = None
-        for _ in range(max(1, args.repeat)):
+        runs = []
+        for _ in range(args.repeat):
             start = time.perf_counter()
             report = reporter(ps, witnesses=args.witnesses)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        seconds.append(best)
+            runs.append(time.perf_counter() - start)
+        seconds.append(min(runs))
         counts.append(report.count)
         if args.with_oracle:
             if n > ORACLE_SIZE_LIMIT:

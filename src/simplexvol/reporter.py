@@ -168,6 +168,7 @@ class MinAreaReport:
 
 _VERTICAL = -math.inf  # the key of the directions with wx == 0, below every slope
 _EXACT_FLOAT = 2 ** 53  # floats hold every integer below it
+_FLOAT_SLACK = 1 + 2 ** -48  # on the squared tests of _window_pairs over floats
 
 
 def _window_pairs(view, a, u, heads, tails, weight, best, collect, slack):
@@ -531,7 +532,7 @@ def _scan(pts, weight, dim, collect):
     best = math.factorial(dim) * span ** dim + 1
     slack = 1
     if 8 * span ** (2 * dim - 2) < _EXACT_FLOAT:  # it bounds every integer the scan forms
-        pts, slack = [tuple(map(float, p)) for p in pts], 1 + 2 ** -48
+        pts, slack = [tuple(map(float, p)) for p in pts], _FLOAT_SLACK
     count = n_flats = 0
     ties = []
     if dim == 2:
@@ -624,16 +625,20 @@ def _n_lines(pts, on):
     return n_lines
 
 
-def _rows(pts, tied):
-    """The (hyperplane, side) pairs of the facets of the tied site
-    simplices, in the order of the reports, as rows
-    (g, t, above, on, facets, apexes, nn, dt_sq) of integers and site lists:
-    the hyperplane g . P == t of the sorted (x, y, z) sites pts, with g a
-    primitive normal (g2 == 0 for triangles of the sites (x, y, 0)), the
-    sites on it, its minimal facets, that side's nearest sites, |N|^2 of the
-    facets' normal N and the squared offset dt^2 of the nearest sites.  The
-    two rows of one hyperplane share on and facets.  3D rows come by (g, t),
-    2D rows by the line's direction (g1, -g0), then t; "below" first.
+def _rows(pts, idx, tied, scale):
+    """One row per hyperplane through a facet of the tied site simplices, in
+    the order of the reports: (g, t, (normal, offset), on, facets, n_points,
+    n_facets, n_lines, (nn, measure_den), dist_den, sides).  The hyperplane
+    is g . P == t of the sorted (x, y, z) sites pts, g a primitive normal
+    (g2 == 0 for triangles of the sites (x, y, 0)), and (normal, offset) is
+    its key, (scale g, t) reduced.  on and facets are its sites and minimal
+    facets, n_points and n_facets their input points, idx[s] being those at
+    site s, and n_lines its spanned lines (None in 2D).  The facets' squared
+    measure is nn / measure_den, |N|^2 of their normal N over
+    (d - 1)!^2 scale^(2d - 2).  sides has an entry per side with a tie,
+    below first: (above, the nearest sites, their input points, dt^2), at a
+    squared distance of dt^2 / dist_den, with dist_den = |g|^2 scale^2.  3D
+    rows come by (g, t), 2D rows by the line's direction (g1, -g0), then t.
 
     Every facet of a minimal simplex is a minimal facet of its hyperplane
     and its apex a nearest point on that side, and every minimal facet with
@@ -645,24 +650,28 @@ def _rows(pts, tied):
     of _scan is its face's sites, ascending, then two later sites, so it is
     sorted once those two are in order; it is unpacked as its sites, and
     its d + 1 (facet, apex) pairs are grouped by facet.  Each distinct
-    facet then takes its normal N and its primitive normal g, and goes
-    under the key (g0, g1, g2, t) with its apexes split by side: the apex is
-    above iff dt = t - g . apex < 0.  A hyperplane works out |N|^2 once,
-    from the facet that first reaches it.  A triangle face has
-    N = face_normal and g = primitive_vector(N), leading positive as in
-    HyperplaneKey.  An edge with direction e, leading positive as the sites
-    are sorted, has N = face_normal = (-e1, e0) and g the quarter turn of
-    primitive_vector(e), which is the LineKey direction, so LineKey.side_of
-    agrees with above.
+    facet then takes its primitive normal g, and goes under the key
+    (g0, g1, g2, t) with its apexes split by side: the apex is above iff
+    dt = t - g . apex < 0.  A hyperplane works out |N|^2 once, from the
+    facet that first reaches it.  A triangle face has N = face_normal and
+    g = primitive_vector(N), leading positive as in HyperplaneKey.  An edge
+    e, leading positive as the sites are sorted, has |N| = |e| and g the
+    quarter turn of primitive_vector(e), which is the LineKey direction, so
+    LineKey.side_of agrees with above.
 
     Each tie costs d + 1 facet lookups, each distinct facet one normal and
     one hyperplane lookup, and each (facet, apex) pair a dot product.  Each
     hyperplane costs one pass over the n sites (a normal's later
-    hyperplanes share one bucketing by g . p).  The rows hold only integers
-    and site lists: _contributing makes record objects of them, and the
-    command line formats them straight into JSON text.
+    hyperplanes share one bucketing by g . p) and, in a plane with k > 3
+    sites, O(k^2) for its lines.  The rows hold only integers and site
+    lists: _contributing wraps them in record objects, and the command line
+    formats them straight into JSON text.
     """
     dim = len(tied[0]) - 1
+    weight = [len(i) for i in idx]
+    single = len(weight) == sum(weight)  # then input points are counted by length
+    weigh = len if single else lambda sites: sum(map(weight.__getitem__, sites))
+    measure_den = math.factorial(dim - 1) ** 2 * scale ** (2 * dim - 2)
     apexes_of: dict[tuple, list[int]] = {}
     for tie in tied:
         if dim == 3:
@@ -681,19 +690,17 @@ def _rows(pts, tied):
                 apexes_of[facet] = [apex]
             else:
                 apexes.append(apex)
-    sites = pts if dim == 3 else [p[:2] for p in pts]  # in face_normal's dimension
     planes: dict[tuple, list] = {}
     for facet, apexes in apexes_of.items():
+        x, y, z = pts[facet[0]]
         if dim == 3:
             s0, s1, s2 = facet
-            normal = face_normal((sites[s0], sites[s1], sites[s2]))[0]
+            normal = face_normal((pts[s0], pts[s1], pts[s2]))[0]
             g0, g1, g2 = primitive_vector(normal)
-        else:
-            s0, s1 = facet
-            normal = face_normal((sites[s0], sites[s1]))[0]
-            e0, e1 = primitive_vector((normal[1], -normal[0]))
+        else:  # the edge e stands in for N, which is e turned a quarter
+            normal = pts[facet[1]][0] - x, pts[facet[1]][1] - y
+            e0, e1 = primitive_vector(normal)
             g0, g1, g2 = -e1, e0, 0
-        x, y, z = pts[s0]
         t = g0 * x + g1 * y + g2 * z
         plane = planes.get((g0, g1, g2, t))
         if plane is None:
@@ -723,28 +730,27 @@ def _rows(pts, tied):
                     on_plane.setdefault(g0 * x + g1 * y + g2 * z, []).append(s)
             on = on_plane[t]
         facets, nn, dt_below, dt_above, below, above = planes[key]
+        n_facets = len(facets) if single else sum(
+            [math.prod(map(weight.__getitem__, facet)) for facet in facets])
+        sides = []
         if below:
-            yield dots_of, t, False, on, facets, below, nn, dt_below * dt_below
+            sides.append((False, below, weigh(below), dt_below * dt_below))
         if above:
-            yield dots_of, t, True, on, facets, above, nn, dt_above * dt_above
+            sides.append((True, above, weigh(above), dt_above * dt_above))
+        h = math.gcd(scale, t)  # g is primitive, so (scale g, t) reduces by gcd(scale, t)
+        yield (dots_of, t, ((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h), on,
+               facets, weigh(on), n_facets, _n_lines(pts, on) if dim == 3 else None,
+               (nn, measure_den), (g0 * g0 + g1 * g1 + g2 * g2) * scale * scale, sides)
 
 
 def _contributing(pts, idx, tied, scale):
-    """(summary, side record) pairs of the tied site simplices, one per row
-    of _rows: (PlaneSummary, SlabRecord) for tetrahedra and
+    """(summary, side record) pairs of the tied site simplices, one per side
+    of each row of _rows: (PlaneSummary, SlabRecord) for tetrahedra and
     (LineSummary, LineSideRecord) for triangles, idx[s] the input indices at
-    site s.  The facet's squared measure is
-    |N|^2 / ((d - 1)!^2 scale^(2d - 2)), the apex's squared distance
-    dt^2 / (|g|^2 scale^2).
-
-    Besides the rows, each hyperplane costs its incident and witness lists
-    and, in a plane with k > 3 sites, O(k^2) for its lines, and each record
-    its nearest list.  So the cost grows with the ties, the distinct facets,
-    the hyperplanes and their records, and with the sites for each distinct
-    normal; the README gives measured times per witness.
+    site s.  The rows hold every count and exact value; this adds each
+    hyperplane's incident and witness lists and each side's nearest list.
     """
     dim = len(tied[0]) - 1
-    measure_den = math.factorial(dim - 1) ** 2 * scale ** (2 * dim - 2)
     record = SlabRecord if dim == 3 else LineSideRecord
     single = len(pts) == sum(map(len, idx))
     fractions: dict[tuple[int, int], Fraction] = {}
@@ -755,32 +761,24 @@ def _contributing(pts, idx, tied, scale):
             value = fractions[num, den] = Fraction(num, den)
         return value
 
-    plane_facets = None
     contrib = []
-    for g, t, above, on, facets, apexes, nn, dt_sq in _rows(pts, tied):
-        if facets is not plane_facets:  # a new hyperplane: its rows share one facet list
-            plane_facets = facets
-            g0, g1, g2 = g
-            gg = g0 * g0 + g1 * g1 + g2 * g2
-            incident = tuple(sorted([i for s in on for i in idx[s]]))
-            wit = tuple(_expand(facets, idx, single))
-            if dim == 3:
-                # g is primitive, so (scale g, t) reduces by gcd(scale, t)
-                h = math.gcd(scale, t)
-                summary = PlaneSummary(
-                    key=HyperplaneKey((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h),
-                    incident=incident, n_points=len(incident), n_lines=_n_lines(pts, on),
-                    min_area_sq=exact(nn, measure_den), count=len(wit), witnesses=wit)
-            else:  # the scaled line passes nearest the origin at t * g / |g|^2
-                summary = LineSummary(
-                    key=LineKey(direction=(g1, -g0), anchor=(Fraction(t * g0, gg * scale),
-                                                             Fraction(t * g1, gg * scale))),
-                    incident=incident, n_points=len(incident),
-                    min_length_sq=exact(nn, measure_den), count=len(wit), witnesses=wit)
-            dist_den = gg * scale * scale
-        nearest = tuple(sorted([i for s in apexes for i in idx[s]]))
-        contrib.append((summary, record(summary.key, "above" if above else "below",
-                                        exact(dt_sq, dist_den), len(nearest), nearest)))
+    for (g, _, (normal, offset), on, facets, n_points, n_facets, n_lines, measure, dist_den,
+         sides) in _rows(pts, idx, tied, scale):
+        incident = tuple(sorted([i for s in on for i in idx[s]]))
+        wit = tuple(_expand(facets, idx, single))
+        if dim == 3:
+            summary = PlaneSummary(HyperplaneKey(normal, offset), incident, n_points, n_lines,
+                                   exact(*measure), n_facets, wit)
+        else:  # the line normal . P == offset is nearest the origin at offset normal / |normal|^2
+            n0, n1, _ = normal
+            nn = n0 * n0 + n1 * n1
+            summary = LineSummary(
+                LineKey((g[1], -g[0]), (Fraction(offset * n0, nn), Fraction(offset * n1, nn))),
+                incident, n_points, exact(*measure), n_facets, wit)
+        for above, apexes, count, dt_sq in sides:
+            nearest = tuple(sorted([i for s in apexes for i in idx[s]]))
+            contrib.append((summary, record(summary.key, "above" if above else "below",
+                                            exact(dt_sq, dist_den), count, nearest)))
     return tuple(contrib)
 
 

@@ -248,7 +248,10 @@ EXIT_CODES = {
         2: [(None, ["--family", "lattice2d", "--sizes", "8"], ()),
             # too few points to span a simplex
             (None, ["--family", "random3d", "--sizes", "3"], ()),
-            (None, ["--family", "lattice_slab3d", "--sizes", "2"], ())],
+            (None, ["--family", "lattice_slab3d", "--sizes", "2"], ()),
+            # no run to time
+            (None, ["--family", "random3d", "--sizes", "8", "--repeat", "0"], ()),
+            (None, ["--family", "random3d", "--sizes", "8", "--repeat", "-4"], ())],
         3: None,  # every family builds sets with a positive minimum at every size it accepts
         4: None,  # bench verifies nothing
     },
@@ -349,12 +352,16 @@ def records_of(report):
 
 @pytest.mark.parametrize("ps", [
     gen_min_tetra_prism(16).points,
-    # the sets of the verification run in CI: 20 points of the 5x5x5 box,
-    # 20 points with coordinates up to 10^20, and the k-lines set
+    # the sets of the verification run in CI: 20 and 30 points of the 5x5x5
+    # box, 20 points with coordinates up to 10^20, the k-lines set and the
+    # two sets on either side of the scan's float limit
     gen_random_rational(20, 3, seed=1, bound=2),
+    gen_random_rational(30, 3, seed=1, bound=2),
     gen_random_rational(20, 3, seed=0, bound=10 ** 20),
     gen_min_ksimplex_lines(24, 3, 3, epsilon=F(1, 5)).points,
-], ids=["prism16", "box-subset20", "big20", "klines24"])
+    load_point_file(os.path.join(os.path.dirname(__file__), "data", "span5792.txt")),
+    load_point_file(os.path.join(os.path.dirname(__file__), "data", "span5793.txt")),
+], ids=["prism16", "box-subset20", "box-subset30", "big20", "klines24", "span5792", "span5793"])
 def test_verification_run_prints_the_json_of_the_library_report(tmp_path, capsys, ps):
     # byte for byte: the document minvol prints equals json.dumps of one
     # built from the library's report, oracle and charging check

@@ -797,6 +797,36 @@ def test_limit_point_files_have_their_reduced_span(span):
     assert (len(ps), max(map(max, reduced)), factor) == (20, span, 1)
 
 
+# A 2D face at the rounding edge of the squared tests.  From a, the classes
+# P, Q and X have r_P < r_X < r_Q, P x Q > EDGE_BEST and X x P == EDGE_BEST,
+# so the walk from P ties with X behind it and meets Q ahead.  Exactly,
+# cr^2 r_P <= EDGE_BEST^2 r_Q for P and Q: their certificate test does not
+# settle the face and the break test goes on past Q.  The two sides differ by
+# less than their rounding, so on floats without slack both tests decide the
+# other way.
+EDGE_FACE = [(0, 4671229), (6686401, 16988331), (11632845, 0), (11723297, 8852984)]  # a, Q, X, P
+EDGE_BEST = 103407912664988
+
+
+def test_window_pairs_on_floats_at_the_rounding_edge():
+    view = [(x, y, 0) for x, y in EDGE_FACE]
+    assert 8 * max(map(max, view)) ** 2 < reporter._EXACT_FLOAT  # a face the scan runs on floats
+    a, q, _, p = EDGE_FACE
+    px, py, qx, qy = p[0] - a[0], p[1] - a[1], q[0] - a[0], q[1] - a[1]
+    rp, rq, cr, bound = px * px + py * py, qx * qx + qy * qy, px * qy - py * qx, EDGE_BEST
+    assert rp < rq and cr > bound and rp * cr * cr <= bound * bound * rq
+    f = float
+    for slack, decides_exactly in ((1, False), (reporter._FLOAT_SLACK, True)):
+        bound_sq = f(bound) * f(bound) * slack
+        assert (f(cr) * f(cr) * f(rp) <= bound_sq * f(rq)) == decides_exactly  # certificate
+        assert (f(rp) * f(cr) * f(cr) > bound_sq * f(rq)) != decides_exactly  # break test
+    floats = [tuple(map(f, s)) for s in view]
+    got = [reporter._window_pairs(sites, 0, (0, 0, 1), range(1, 4), (), [1] * 4, bound, True,
+                                  slack)[:3]
+           for sites, slack in ((view, 1), (floats, reporter._FLOAT_SLACK))]
+    assert got[0] == got[1] == (bound, 1, [([3], [2])])  # (least, count, ties): P with X
+
+
 def _mapped(ps, seed):
     """ps under x -> M x + t with M a random integer matrix of det +-1 and t
     a small rational translation, its points permuted; returns the mapped
