@@ -1,12 +1,16 @@
 """Brute-force reference implementations for every extremal quantity.
 
 These oracles scan all C(n, k+1) vertex subsets with no pruning whatsoever, so
-they are independent of the fast reporting paths they validate.  A (d+1)-subset
-is a face of its first d points plus an apex: the face's normal is taken once
-(exact.face_normal, or written out for the minimum-volume tetrahedra) and
-each apex's determinant is one dot product with it; each k-simplex for
-k < d takes a Gram determinant.  Zero-volume simplices are silently skipped
-everywhere (the "minimum nonzero" convention).
+they are independent of the fast reporting paths they validate.  A
+(k+1)-subset is a face of its first k points plus an apex, and one kernel of
+exact.py measures it: for k = d, apex_determinants takes the face's normal
+once and each apex's determinant as one dot product with it; for k < d,
+gram_determinant gives each simplex's squared k-volume.  The minimum-volume
+tetrahedra (k = d = 3, the verification run's case) keep their own loops
+written out on integers: on the verification run's 20-point inputs a face
+has a few apexes, the per-face call costs more than they do, and the
+written-out loops take a quarter to a third of the time.  Zero-volume
+simplices are silently skipped everywhere (the "minimum nonzero" convention).
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from .exact import (
     AllDegenerate,
@@ -23,9 +26,10 @@ from .exact import (
     IndexSimplex,
     LineKey,
     PointSet,
-    _det,
     _scalar,
+    apex_determinants,
     face_normal,
+    gram_determinant,
     integer_coordinates,
     integer_hyperplane_key,
     line_key,
@@ -71,13 +75,18 @@ class RichLineReport:
     lines: tuple[tuple[LineKey, tuple[int, ...]], ...]
 
 
-def _int_squared_volume_numerator(coords, idx):
-    """Gram-determinant numerator for the squared k-volume (k = len(idx) - 1)
-    of scaled integer points; shared denominator is (k! * scale**k)**2."""
-    base = coords[idx[0]]
-    edges = [tuple(c - b for c, b in zip(coords[i], base)) for i in idx[1:]]
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
-    return _det(gram)
+def _measures(coords, k, d):
+    """For each k-point face of the scaled integer points of R^d, in
+    combinations order, the face and the measures of face + (l,) over every
+    later point l, which order the simplices by volume: for k = d the
+    apex_determinants, k! scale^k times the volume; for k < d the
+    gram_determinant, (k! scale^k)^2 times the squared volume."""
+    for face, points in zip(combinations(range(len(coords)), k), combinations(coords, k)):
+        apexes = coords[face[-1] + 1:]
+        if k == d:
+            yield face, apex_determinants(points, apexes)
+        else:
+            yield face, [gram_determinant(points + (q,)) for q in apexes]
 
 
 def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
@@ -85,13 +94,11 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
     simplices attaining it.  Raises AllDegenerate when no (k+1)-subset has
     positive volume.
 
-    For k = d each face takes its normal once, from its coordinates as
-    combinations yields them, and each apex one dot product with it; each
-    k-simplex for k < d takes a Gram determinant.  The cost is one such
-    evaluation per (k + 1)-subset, C(n, k + 1) in all, on any input.
-    k = d = 3, the verification run's case, has its own nested loops over
-    i < j < m < l, written out on integers: the edge vectors from p_i are
-    taken once per i, the normal of face ijm once per face as the cross
+    The cost is one apex_determinants dot product (k = d) or one
+    gram_determinant (k < d) per (k + 1)-subset, C(n, k + 1) in all, on any
+    input.  k = d = 3, the verification run's case, has its own nested loops
+    over i < j < m < l, written out on integers: the edge vectors from p_i
+    are taken once per i, the normal of face ijm once per face as the cross
     product of its edges from p_i, and each apex l is one three-term dot
     product with the edge p_l - p_i, so the witnesses come in combinations
     order as on the other paths.
@@ -123,21 +130,14 @@ def min_volume_simplices(ps: PointSet, k: int) -> MinSimplexResult:
                                 best, witnesses = num, []
                             witnesses.append((i, j, m, l))
     else:
-        # face + (l,) runs through the (k+1)-subsets in combinations order, and
-        # points through the face's coordinates in the same order
-        for face, points in zip(combinations(range(n), k), combinations(coords, k)):
-            if k == d:
-                normal, offset = face_normal(points)
-            for l in range(face[-1] + 1, n):
-                if k < d:
-                    num = _int_squared_volume_numerator(coords, face + (l,))
-                else:
-                    num = sum(map(mul, normal, coords[l])) - offset
-                    num *= num
-                if num and (best is None or num <= best):
-                    if num != best:
-                        best, witnesses = num, []
-                    witnesses.append(face + (l,))
+        for face, nums in _measures(coords, k, d):
+            least = min(filter(None, nums), default=0)
+            num = least * least if k == d else least
+            if num and (best is None or num <= best):
+                if num != best:
+                    best, witnesses = num, []
+                witnesses.extend(face + (l,) for l, v in enumerate(nums, face[-1] + 1)
+                                 if v == least)
     if best is None:
         raise AllDegenerate(f"every {k + 1}-subset of the input is degenerate")
     denom = (math.factorial(k) * scale ** k) ** 2
@@ -162,28 +162,20 @@ def count_simplices_with_volume(ps: PointSet, target: Fraction, k: int,
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
     coords, scale = integer_coordinates(ps)
-    if k == d:
-        # |det| / (d! * scale**d) == target, compared as integers
-        want_num = target.numerator * math.factorial(d) * scale ** d
-        want_den = target.denominator
-    else:
-        want_num = target.numerator * (math.factorial(k) * scale ** k) ** 2
-        want_den = target.denominator
-    n = len(ps)
+    # the measure of the scaled set that the target asks for, or -1 (no
+    # measure) when it is not an integer
+    unit = math.factorial(k) * scale ** k
+    want = target * unit if k == d else target * unit ** 2
+    want = want.numerator if want.denominator == 1 else -1
     count = 0
     witnesses: list[IndexSimplex] = []
-    for face in combinations(range(n), k):
-        if k == d:
-            normal, offset = face_normal([coords[i] for i in face])
-        for l in range(face[-1] + 1, n):
-            if k == d:
-                val = abs(sum(map(mul, normal, coords[l])) - offset)
-            else:
-                val = _int_squared_volume_numerator(coords, face + (l,))
-            if val * want_den == want_num:
-                count += 1
-                if keep_witnesses:
-                    witnesses.append(face + (l,))
+    for face, nums in _measures(coords, k, d):
+        hits = nums.count(want)
+        if hits:
+            count += hits
+            if keep_witnesses:
+                witnesses.extend(face + (l,) for l, v in enumerate(nums, face[-1] + 1)
+                                 if v == want)
     return CountReport(target=target, k=k, count=count,
                        witnesses=tuple(witnesses) if keep_witnesses else None)
 
@@ -191,13 +183,10 @@ def count_simplices_with_volume(ps: PointSet, target: Fraction, k: int,
 def distinct_volumes(ps: PointSet) -> DistinctVolumeReport:
     """Exact set of distinct positive volumes of full-dimensional simplices."""
     d = ps.dim
-    n = len(ps)
     coords, scale = integer_coordinates(ps)
     seen: set[int] = set()
-    for face in combinations(range(n), d):
-        normal, offset = face_normal([coords[i] for i in face])
-        for l in range(face[-1] + 1, n):
-            seen.add(abs(sum(map(mul, normal, coords[l])) - offset))
+    for _, nums in _measures(coords, d, d):
+        seen.update(nums)
     seen.discard(0)
     if not seen:
         raise AllDegenerate("the point set lies in a hyperplane")

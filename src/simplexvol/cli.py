@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import json
 import math
 import os
@@ -93,34 +94,22 @@ def _contributing_json(pts, idx, tied, scale) -> str:
 def cmd_gen(args) -> int:
     family = args.family
     builder = FAMILIES[family]
+    takes = inspect.signature(builder).parameters  # n and the family's own flags
     kwargs = {"n": args.n}
-    if family == "prism3d":
-        if args.epsilon is not None:
-            kwargs["epsilon"] = _scalar(args.epsilon)
-    elif family == "klines":
-        if args.k is None or args.d is None:
-            raise ValueError("klines needs --k and --d")
-        kwargs.update(k=args.k, d=args.d)
-        if args.epsilon is not None:
-            kwargs["epsilon"] = _scalar(args.epsilon)
-    elif family == "dlines_distinct":
-        if args.d is None:
-            raise ValueError("dlines_distinct needs --d")
-        kwargs["d"] = args.d
-    elif family == "random_rational":
-        if args.d is None:
-            raise ValueError("random_rational needs --d")
-        kwargs.update(d=args.d, seed=args.seed, bound=args.bound)
+    for name in ("k", "d", "epsilon", "seed", "bound"):
+        value = getattr(args, name)
+        if name in takes and value is not None:
+            kwargs[name] = _scalar(value) if name == "epsilon" else value
+        elif name in takes and takes[name].default is inspect.Parameter.empty:
+            raise ValueError(f"{family} needs --{name}")
+        elif value is not None and name not in ("seed", "bound"):  # always set by argparse
+            raise ValueError(f"{family} takes no --{name}")
     out = builder(**kwargs)
     if isinstance(out, PointSet):
         points, expected = out, {}
     else:
         points, expected = out.points, out.expected
-    comments = [f"family {family}", f"n {args.n}"]
-    for name in ("k", "d", "epsilon", "seed", "bound"):
-        value = kwargs.get(name)
-        if value is not None:
-            comments.append(f"{name} {value}")
+    comments = [f"family {family}"] + [f"{name} {value}" for name, value in kwargs.items()]
     for name, value in expected.items():
         comments.append(f"expected_{name} {value}")
     write_point_file(args.out, points, comments)

@@ -1,7 +1,10 @@
 """Distinct-volume machinery: exact orthogonal projection along a spanned
 flat, the distinct-area search from a fixed point, and the common-face
 distinct-volume search, together with the projection volume identity that
-ties the planar picture back to full-dimensional simplices.
+ties the planar picture back to full-dimensional simplices.  Every search
+counts the distinct positive |det| over one face with exact.apex_determinants,
+the same kernel as the brute-force oracles: one normal per face, one dot
+product per apex.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -19,6 +21,7 @@ from .exact import (
     DimensionMismatch,
     PointSet,
     _scalar,
+    apex_determinants,
     face_normal,
     integer_coordinates,
     primitive_vector,
@@ -158,20 +161,11 @@ def distinct_areas_from_point(ps: PointSet, p1: int) -> DistinctAreaResult:
     # a duplicate of p1 (a zero difference) lies on every line through it
     dirs = [primitive_vector(d) for d in diffs if any(d)]
     # 2x the scaled areas of the triangles (p1, p2, q); distinct counts agree
-    counts = {p2: len(_distinct_apex_volumes(coords, (p1, p2), range(n)))
+    counts = {p2: len({*apex_determinants((coords[p1], coords[p2]), coords)} - {0})
               for p2 in range(n) if p2 != p1}
     best = max(counts, key=counts.get)  # the first of the largest counts
     return DistinctAreaResult(base_point=p1, best_partner=best, distinct_count=counts[best],
                               hypothesis_holds=len(dirs) == len(diffs) == len(set(dirs)))
-
-
-def _distinct_apex_volumes(coords, face, apexes) -> set[int]:
-    """Distinct positive |det| over simplices face + {q}, q in apexes, scaled
-    integers."""
-    normal, offset = face_normal([coords[i] for i in face])
-    seen = {abs(sum(map(mul, normal, coords[q])) - offset) for q in apexes if q not in face}
-    seen.discard(0)
-    return seen
 
 
 def best_common_face(ps: PointSet, mode: str = "exhaustive") -> CommonFaceResult:
@@ -224,15 +218,16 @@ def best_common_face(ps: PointSet, mode: str = "exhaustive") -> CommonFaceResult
         if len(best_planes) < 2:
             raise AllDegenerate("the point set lies in a hyperplane")
         reps = sorted(best_planes.values())
-        partner = max(reps, key=lambda r: len(
-            _distinct_apex_volumes(coords, best_tuple + (r,), reps)))
+        apexes = [coords[q] for q in reps]
+        partner = max(reps, key=lambda r: len({*apex_determinants(
+            [coords[i] for i in best_tuple + (r,)], apexes)} - {0}))
         faces = [tuple(sorted(best_tuple + (partner,)))]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     best = None
     for face in faces:
-        vols = _distinct_apex_volumes(coords, face, range(n))
+        vols = {*apex_determinants([coords[i] for i in face], coords)} - {0}
         if vols and (best is None or len(vols) > len(best[1])):
             best = (face, vols)
     if best is None:

@@ -98,9 +98,8 @@ __all__ = [
 @dataclass(frozen=True)
 class PlaneSummary:
     """Per-plane extremal statistics: incident points, number of spanned
-    lines, and the minimum-nonzero-area triangles within the plane.
-    key is None when the ambient dimension is 2 (the whole plane)."""
-    key: HyperplaneKey | None
+    lines, and the minimum-nonzero-area triangles within the plane."""
+    key: HyperplaneKey
     incident: tuple[int, ...]
     n_points: int
     n_lines: int

@@ -13,6 +13,7 @@ from simplexvol import (
     PointSet,
     best_common_face,
     count_simplices_with_volume,
+    distinct_areas_from_point,
     distinct_volumes,
     gen_distinct_volume_lines,
     gen_lattice2d,
@@ -259,6 +260,15 @@ def test_full_dimensional_scans_match_per_subset_determinants(d):
     scale = math.factorial(d)
     for ps in _kernel_sets(d):
         vols = _reference_volumes(ps)
+        if d == 2:
+            # the first partner with the most distinct positive areas over
+            # the triangles (p1, p2, q)
+            for p1 in range(len(ps)):
+                counts = {p2: len({v for idx, v in vols if v and {p1, p2} <= set(idx)})
+                          for p2 in range(len(ps)) if p2 != p1}
+                best = max(counts, key=counts.get)
+                areas = distinct_areas_from_point(ps, p1)
+                assert (areas.best_partner, areas.distinct_count) == (best, counts[best])
         positive = sorted({v for _, v in vols if v})
         if not positive:
             with pytest.raises(AllDegenerate):
@@ -289,3 +299,35 @@ def test_full_dimensional_scans_match_per_subset_determinants(d):
         common = best_common_face(ps, mode="exhaustive")
         assert common.face == best[0]
         assert common.volumes == tuple(v / scale for v in sorted(best[1]))
+
+
+def _reference_squared_volumes(ps, k):
+    """(k!)^2 times the squared k-volume of every (k+1)-subset in
+    combinations order, by Cauchy-Binet: the sum of the squared k x k minors
+    of its edge vectors, one exact._det each."""
+    out = []
+    for idx in combinations(range(len(ps)), k + 1):
+        base = ps.points[idx[0]]
+        edges = [[c - b for c, b in zip(ps.points[i], base)] for i in idx[1:]]
+        out.append((idx, sum(_det([[row[c] for c in cols] for row in edges]) ** 2
+                             for cols in combinations(range(ps.dim), k))))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lower_dimensional_scans_match_cauchy_binet(d):
+    for ps in _kernel_sets(d):
+        for k in range(1, d):
+            scale = math.factorial(k) ** 2
+            vols = _reference_squared_volumes(ps, k)
+            positive = sorted({v for _, v in vols if v})
+            least = [idx for idx, v in vols if v == positive[0]]
+            result = min_volume_simplices(ps, k)
+            assert result.min_squared_volume == positive[0] / scale
+            assert result.witnesses == tuple(least)
+            assert result.count == len(least)
+            # a seventh of the least is below every measure: no simplex has it
+            for v in positive[:: max(1, len(positive) // 3)] + [positive[0] / 7]:
+                report = count_simplices_with_volume(ps, v / scale, k, keep_witnesses=True)
+                assert report.witnesses == tuple(idx for idx, w in vols if w == v)
+                assert report.count == len(report.witnesses)

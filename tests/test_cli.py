@@ -88,6 +88,18 @@ def test_gen_bad_n_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_gen_names_the_flag_a_family_does_not_take(tmp_path, capsys):
+    out_path = tmp_path / "x.txt"
+    for family, flag, needs in (("prism3d", "--d", ()), ("lattice2d", "--k", ()),
+                                ("lattice_slab3d", "--epsilon", ()),
+                                ("dlines_distinct", "--k", ("--d", "3")),
+                                ("random_rational", "--epsilon", ("--d", "3"))):
+        code, out, err = run(capsys, "gen", "--family", family, "--n", "8", *needs,
+                             flag, "1", "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"error: {family} takes no {flag}\n")
+        assert not out_path.exists()
+
+
 def test_minvol_prism(tmp_path, capsys):
     out_path = tmp_path / "prism.txt"
     run(capsys, "gen", "--family", "prism3d", "--n", "8", "--epsilon", "1/64",
@@ -212,7 +224,12 @@ EXIT_CODES = {
             (None, ["--family", "klines", "--n", "-4", "--k", "2", "--d", "2", "--out", "{out}"], ()),
             (None, ["--family", "klines", "--n", "2", "--k", "2", "--d", "2", "--out", "{out}"], ()),
             (None, ["--family", "lattice2d", "--n", "-4", "--out", "{out}"], ()),
-            (None, ["--family", "lattice_slab3d", "--n", "-4", "--out", "{out}"], ())],
+            (None, ["--family", "lattice_slab3d", "--n", "-4", "--out", "{out}"], ()),
+            # a flag that the family does not take
+            (None, ["--family", "prism3d", "--n", "8", "--d", "2", "--out", "{out}"], ()),
+            (None, ["--family", "lattice2d", "--n", "9", "--k", "3", "--out", "{out}"], ()),
+            (None, ["--family", "dlines_distinct", "--n", "7", "--d", "3", "--epsilon", "1/5",
+                    "--out", "{out}"], ())],
         3: None,  # gen builds no simplex: it writes the points or refuses the parameters
         4: None,  # gen verifies nothing
     },
