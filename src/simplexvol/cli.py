@@ -102,14 +102,17 @@ def cmd_gen(args) -> int:
             kwargs[name] = _scalar(value) if name == "epsilon" else value
         elif name in takes and takes[name].default is inspect.Parameter.empty:
             raise ValueError(f"{family} needs --{name}")
-        elif value is not None and name not in ("seed", "bound"):  # always set by argparse
+        elif value is not None:
             raise ValueError(f"{family} takes no --{name}")
     out = builder(**kwargs)
     if isinstance(out, PointSet):
         points, expected = out, {}
     else:
         points, expected = out.points, out.expected
-    comments = [f"family {family}"] + [f"{name} {value}" for name, value in kwargs.items()]
+    call = inspect.signature(builder).bind(**kwargs)
+    call.apply_defaults()  # the header records the builder's defaults too
+    comments = [f"family {family}"] + [f"{name} {value}" for name, value
+                                       in call.arguments.items() if value is not None]
     for name, value in expected.items():
         comments.append(f"expected_{name} {value}")
     write_point_file(args.out, points, comments)
@@ -368,8 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int)
     gen.add_argument("--d", type=int)
     gen.add_argument("--epsilon", help="exact rational, e.g. 1/64")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--bound", type=int, default=10)
+    gen.add_argument("--seed", type=int, help="random_rational only (default 0)")
+    gen.add_argument("--bound", type=int, help="random_rational only (default 10)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=cmd_gen)
 

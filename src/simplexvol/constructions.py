@@ -150,7 +150,7 @@ def gen_lattice_slab3d(n: int) -> PointSet:
     return PointSet(rows, dim=3)
 
 
-def gen_random_rational(n: int, d: int, seed: int, bound: int = 10) -> PointSet:
+def gen_random_rational(n: int, d: int, seed: int = 0, bound: int = 10) -> PointSet:
     """n distinct points with integer coordinates drawn uniformly from
     [-bound, bound]^d by a seeded deterministic generator."""
     if n < 0:

@@ -173,8 +173,8 @@ def best_common_face(ps: PointSet, mode: str = "exhaustive") -> CommonFaceResult
     of distinct volumes.
 
     mode="exhaustive" scans every nondegenerate (d-1)-simplex and maximizes
-    the distinct-volume count: C(n, d) faces times n - d apexes, guarded to
-    10^6 face candidates.
+    the distinct-volume count: C(n, d) faces times n apexes (a face's own
+    points give 0), guarded to 10^6 face candidates.
     mode="heuristic" is the constructive search: take a (d-1)-tuple spanning
     the most distinct hyperplanes (C(n, d-1) * (n - d + 1) face normals),
     keep the smallest-index representative per hyperplane, and extend the

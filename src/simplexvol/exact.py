@@ -354,14 +354,6 @@ def apex_determinants(face: Sequence[Sequence], apexes: Iterable[Sequence]) -> l
     p0..p_{d-1} and one dot product per apex.  An apex in the face's
     hyperplane, a face point among them, gives 0."""
     normal, offset = face_normal(face)
-    # written out in the plane and in space, where the oracles run: about 2x
-    # faster than the map form
-    if len(normal) == 2:
-        a, b = normal
-        return [abs(a * x + b * y - offset) for x, y in apexes]
-    if len(normal) == 3:
-        a, b, c = normal
-        return [abs(a * x + b * y + c * z - offset) for x, y, z in apexes]
     return [abs(sum(map(mul, normal, q)) - offset) for q in apexes]
 
 

@@ -93,11 +93,33 @@ def test_gen_names_the_flag_a_family_does_not_take(tmp_path, capsys):
     for family, flag, needs in (("prism3d", "--d", ()), ("lattice2d", "--k", ()),
                                 ("lattice_slab3d", "--epsilon", ()),
                                 ("dlines_distinct", "--k", ("--d", "3")),
-                                ("random_rational", "--epsilon", ("--d", "3"))):
+                                ("random_rational", "--epsilon", ("--d", "3")),
+                                ("prism3d", "--seed", ()),
+                                ("klines", "--bound", ("--k", "2", "--d", "2"))):
         code, out, err = run(capsys, "gen", "--family", family, "--n", "8", *needs,
                              flag, "1", "--out", str(out_path))
         assert (code, out, err) == (2, "", f"error: {family} takes no {flag}\n")
         assert not out_path.exists()
+
+
+def test_gen_names_the_flag_a_family_needs(tmp_path, capsys):
+    out_path = tmp_path / "x.txt"
+    for family, flag, given in (("klines", "--d", ("--k", "2")), ("klines", "--k", ("--d", "2")),
+                                ("dlines_distinct", "--d", ()), ("random_rational", "--d", ())):
+        code, out, err = run(capsys, "gen", "--family", family, "--n", "8", *given,
+                             "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"error: {family} needs {flag}\n")
+        assert not out_path.exists()
+
+
+def test_gen_random_rational_header_records_the_default_seed_and_bound(tmp_path, capsys):
+    out_path = tmp_path / "x.txt"
+    code, _, _ = run(capsys, "gen", "--family", "random_rational", "--n", "5", "--d", "2",
+                     "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text().startswith("# family random_rational\n# n 5\n# d 2\n"
+                                           "# seed 0\n# bound 10\n")
+    assert parse_point_file(out_path.read_text()) == gen_random_rational(5, 2, 0, bound=10)
 
 
 def test_minvol_prism(tmp_path, capsys):
@@ -229,7 +251,12 @@ EXIT_CODES = {
             (None, ["--family", "prism3d", "--n", "8", "--d", "2", "--out", "{out}"], ()),
             (None, ["--family", "lattice2d", "--n", "9", "--k", "3", "--out", "{out}"], ()),
             (None, ["--family", "dlines_distinct", "--n", "7", "--d", "3", "--epsilon", "1/5",
-                    "--out", "{out}"], ())],
+                    "--out", "{out}"], ()),
+            (None, ["--family", "prism3d", "--n", "8", "--seed", "5", "--out", "{out}"], ()),
+            (None, ["--family", "lattice2d", "--n", "9", "--bound", "3", "--out", "{out}"], ()),
+            # a flag that the family needs, left out
+            (None, ["--family", "klines", "--n", "8", "--k", "2", "--out", "{out}"], ()),
+            (None, ["--family", "random_rational", "--n", "8", "--out", "{out}"], ())],
         3: None,  # gen builds no simplex: it writes the points or refuses the parameters
         4: None,  # gen verifies nothing
     },
