@@ -16,6 +16,7 @@ import inspect
 import json
 import math
 import os
+import statistics
 import sys
 import time
 
@@ -76,7 +77,7 @@ def _contributing_json(pts, idx, tied, scale) -> str:
         return str(num // g) if g == den else f"{num // g}/{den // g}"
 
     records = []
-    for (_, _, ((n0, n1, n2), offset), _, _, n_points, n_facets, n_lines, measure, dist_den,
+    for (_, ((n0, n1, n2), offset), _, _, n_points, n_facets, n_lines, measure, dist_den,
          sides) in _rows(pts, idx, tied, scale):
         counts = (f'", "min_area_count": {n_facets}, "min_area_sq": "{exact(*measure)}", '
                   f'"n_lines": {n_lines}, "n_points": {n_points}, "nearest_count": ')
@@ -347,11 +348,7 @@ def _git_revision(where: str = os.path.dirname(__file__)) -> str | None:
 def _loglog_slope(sizes, seconds) -> float:
     xs = [math.log(n) for n in sizes]
     ys = [math.log(max(t, 1e-9)) for t in seconds]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den
+    return statistics.linear_regression(xs, ys).slope
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +421,7 @@ def main(argv=None) -> int:
     except (AllDegenerate, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -626,7 +626,7 @@ def _n_lines(pts, on):
 
 def _rows(pts, idx, tied, scale):
     """One row per hyperplane through a facet of the tied site simplices, in
-    the order of the reports: (g, t, (normal, offset), on, facets, n_points,
+    the order of the reports: (g, (normal, offset), on, facets, n_points,
     n_facets, n_lines, (nn, measure_den), dist_den, sides).  The hyperplane
     is g . P == t of the sorted (x, y, z) sites pts, g a primitive normal
     (g2 == 0 for triangles of the sites (x, y, 0)), and (normal, offset) is
@@ -737,7 +737,7 @@ def _rows(pts, idx, tied, scale):
         if above:
             sides.append((True, above, weigh(above), dt_above * dt_above))
         h = math.gcd(scale, t)  # g is primitive, so (scale g, t) reduces by gcd(scale, t)
-        yield (dots_of, t, ((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h), on,
+        yield (dots_of, ((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h), on,
                facets, weigh(on), n_facets, _n_lines(pts, on) if dim == 3 else None,
                (nn, measure_den), (g0 * g0 + g1 * g1 + g2 * g2) * scale * scale, sides)
 
@@ -761,7 +761,7 @@ def _contributing(pts, idx, tied, scale):
         return value
 
     contrib = []
-    for (g, _, (normal, offset), on, facets, n_points, n_facets, n_lines, measure, dist_den,
+    for (g, (normal, offset), on, facets, n_points, n_facets, n_lines, measure, dist_den,
          sides) in _rows(pts, idx, tied, scale):
         incident = tuple(sorted([i for s in on for i in idx[s]]))
         wit = tuple(_expand(facets, idx, single))

@@ -208,7 +208,8 @@ def test_oracle_refused_above_limit(tmp_path, capsys, monkeypatch, command, dim)
     monkeypatch.setattr(bruteforce, "min_volume_simplices", no_oracle)
     code, out, err = run(capsys, command, above, "--oracle", "--report-witnesses")
     assert_one_error_line(code, out, err)
-    assert f"limit {cli.ORACLE_SIZE_LIMIT}" in err
+    assert err == (f"error: refusing brute-force oracle on {cli.ORACLE_SIZE_LIMIT + 1} points "
+                   f"(limit {cli.ORACLE_SIZE_LIMIT})\n")
     # without the oracle the same file is solved
     assert run(capsys, command, above, "--report-witnesses")[0] == 0
 
@@ -235,7 +236,8 @@ def test_minvol_charging_bound_exceeded_exits_4(tmp_path, capsys, monkeypatch):
 # Every documented exit code of every subcommand: 0 success, 2 usage or
 # constraint error, 3 degenerate input, 4 verification failed.  Each code a
 # subcommand reaches has its runs, as (point file text or None, arguments
-# after the subcommand, (module, name, replacement) patches); None marks a
+# after the subcommand, (module, name, replacement) patches), followed on
+# some failing runs by the one error line that they must print; None marks a
 # code the subcommand cannot reach.  {points} and {out} in the arguments
 # stand for the point file and an output path.
 EXIT_CODES = {
@@ -262,7 +264,10 @@ EXIT_CODES = {
     },
     "minvol": {
         0: [(TETRA, ["{points}", "--oracle", "--report-witnesses", "--check-charging"], ())],
-        2: [(SQUARE, ["{points}"], ())],
+        2: [(SQUARE, ["{points}"], ()),
+            # the parser refuses to compute 10**exponent
+            ("dim 1\n1e3\n", ["{points}", "--oracle", "--report-witnesses", "--check-charging"],
+             (), "error: line 2: bad rational value (decimal exponent refused in '1e3')")],
         3: [(COPLANAR, ["{points}", "--oracle", "--check-charging"], ())],
         4: [(TETRA, ["{points}", "--oracle"], ((bruteforce, "min_volume_simplices",
                                                 mismatching_oracle),)),
@@ -308,7 +313,7 @@ def test_every_subcommand_reaches_its_documented_exit_codes(tmp_path, capsys, mo
     assert set(EXIT_CODES) == {name[4:] for name in dir(cli) if name.startswith("cmd_")}
     assert sorted(EXIT_CODES[command]) == [0, 2, 3, 4]
     for code, runs in EXIT_CODES[command].items():
-        for text, argv, patches in runs or ():
+        for text, argv, patches, *line in runs or ():
             points = write_points(tmp_path, "points.txt", text) if text else None
             out_path = tmp_path / f"out-{code}.txt"
             argv = [a.format(points=points, out=out_path) for a in argv]
@@ -330,6 +335,8 @@ def test_every_subcommand_reaches_its_documented_exit_codes(tmp_path, capsys, mo
             else:
                 assert out == ""
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+                if line:
+                    assert err == f"{line[0]}\n"
 
 
 def test_minvol_deterministic_output(tmp_path, capsys):
@@ -396,7 +403,7 @@ def records_of(report):
 
 @pytest.mark.parametrize("ps", [
     gen_min_tetra_prism(16).points,
-    # the sets of the verification run in CI: 20 and 30 points of the 5x5x5
+    # the sets of the verification run: 20 and 30 points of the 5x5x5
     # box, 20 points with coordinates up to 10^20, the k-lines set and the
     # two sets on either side of the scan's float limit
     gen_random_rational(20, 3, seed=1, bound=2),
@@ -414,6 +421,7 @@ def test_verification_run_prints_the_json_of_the_library_report(tmp_path, capsys
     code, out, _ = run(capsys, "minvol", path, "--report-witnesses", "--oracle",
                        "--check-charging")
     assert code == 0
+    printed = report_of(out)
     ps = load_point_file(path)
     report = min_volume_tetrahedra(ps)
     oracle = bruteforce.min_volume_simplices(ps, 3)
@@ -437,14 +445,20 @@ def test_verification_run_prints_the_json_of_the_library_report(tmp_path, capsys
                          "max_per_face_side": check.max_per_face_side,
                          "n_witnesses": check.n_witnesses},
         },
-        "timing_seconds": report_of(out)["timing_seconds"],
+        "timing_seconds": printed["timing_seconds"],
     }
     assert_same_text(out, json.dumps(doc, sort_keys=True) + "\n")
+    # each tetrahedron once per face: the printed records' facet times apex
+    # counts sum to four times the count
+    results = printed["results"]
+    assert len(results["witnesses"]) == results["count"]
+    faces = sum(r["min_area_count"] * r["nearest_count"] for r in results["contributing"])
+    assert faces == results["sum_face_products"] == 4 * results["count"]
 
 
 @pytest.mark.parametrize("ps", [
     gen_lattice2d(25),
-    # the 2D sets of the verification run in CI
+    # the 2D sets of the verification run
     gen_random_rational(20, 2, seed=0, bound=10 ** 20),
     gen_min_ksimplex_lines(20, 2, 2, epsilon=F(1, 7)).points,
 ], ids=["lattice25", "big20-2d", "klines20-2d"])
@@ -454,6 +468,7 @@ def test_minarea_verification_run_prints_the_json_of_the_library_report(tmp_path
     write_point_file(path, ps, [])
     code, out, _ = run(capsys, "minarea", path, "--report-witnesses", "--oracle")
     assert code == 0
+    printed = report_of(out)
     ps = load_point_file(path)
     report = min_area_triangles(ps)
     oracle = bruteforce.min_volume_simplices(ps, 2)
@@ -472,9 +487,10 @@ def test_minarea_verification_run_prints_the_json_of_the_library_report(tmp_path
             "oracle": {"match": True, "min_squared_volume": str(oracle.min_squared_volume),
                        "count": oracle.count},
         },
-        "timing_seconds": report_of(out)["timing_seconds"],
+        "timing_seconds": printed["timing_seconds"],
     }
     assert_same_text(out, json.dumps(doc, sort_keys=True) + "\n")
+    assert len(printed["results"]["witnesses"]) == printed["results"]["count"]
 
 
 @pytest.mark.parametrize("command, ps", [
@@ -706,6 +722,47 @@ def test_count(tmp_path, capsys):
     code, out, _ = run(capsys, "count", path, "--volume", "1000")
     assert code == 0
     assert report_of(out)["results"]["count"] == 0
+
+
+def expected_comments(path):
+    """{name: value} of the "# expected_<name> <value>" comments that gen
+    writes into a point file."""
+    with open(path) as fh:
+        return dict(line[len("# expected_"):].split() for line in fh
+                    if line.startswith("# expected_"))
+
+
+@pytest.mark.parametrize("family, command, want", [
+    (["prism3d", "--n", "128"], ["minvol"],
+     {"count": (380928, "count"), "min_volume": ("1/49152", "min_volume")}),
+    (["klines", "--n", "20", "--k", "2", "--d", "2", "--epsilon", "1/7"], ["minarea"],
+     {"count": (180, "count"), "min_area_sq": ("1/196", "min_squared_volume")}),
+    (["klines", "--n", "24", "--k", "3", "--d", "3", "--epsilon", "1/5"],
+     ["count", "--volume", "1/30"], {"count": (1344, "count")}),
+    (["klines", "--n", "24", "--k", "2", "--d", "3", "--epsilon", "1/5"],
+     ["count", "--k", "2", "--volume", "1/100"], {"count": (264, "count")}),
+    (["dlines_distinct", "--n", "13", "--d", "3"], ["distinct", "--common-face", "heuristic"],
+     {"distinct_count": (4, "distinct"), "common_face.distinct_count": (4, "distinct")}),
+], ids=["minvol-prism128", "minarea-klines20-2d", "count-klines24", "count-klines24-k2",
+        "distinct-dlines13"])
+def test_commands_give_the_closed_forms_that_gen_writes(tmp_path, capsys, family, command, want):
+    # want maps a results field, dotted into nested objects, to its value
+    # and to the expected_* comment that states it
+    path = str(tmp_path / "points.txt")
+    assert main(["gen", "--family", *family, "--out", path]) == 0
+    expected = expected_comments(path)
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert (code, err) == (0, "")
+    doc = report_of(out)
+    for field, (value, comment) in want.items():
+        got = doc["results"]
+        for key in field.split("."):
+            got = got[key]
+        assert (got, str(value)) == (value, expected[comment]), field
+    if command[0] == "count":  # the target is the least volume, squared below full dimension
+        volume = F(doc["parameters"]["volume"])
+        squared = volume ** 2 if doc["parameters"]["comparison"] == "volume" else volume
+        assert squared == F(expected["min_squared_volume"])
 
 
 @pytest.mark.parametrize("token", ["1e3", "1E-2", "2.5e1"])
