@@ -62,6 +62,18 @@ def _document(command: str, ps: PointSet | None, parameters: dict,
     }
 
 
+def _text(name: str, write, *args) -> str:
+    """write(*args), the text of the result name, or a ValueError that names
+    it when a numerator or denominator has more digits than Python converts
+    to a string (sys.get_int_max_str_digits())."""
+    try:
+        return write(*args)
+    except ValueError:
+        raise ValueError(f"{name}: a numerator or denominator has more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's limit for integer "
+                         "strings (sys.get_int_max_str_digits())") from None
+
+
 def _contributing_json(pts, idx, tied, scale) -> str:
     """The contributing records of min_volume_tetrahedra as JSON text, the
     array that json.dumps(records, sort_keys=True) writes, formatted from
@@ -178,14 +190,14 @@ def _solve(ps, args, dim: int, witness_run) -> int:
     if witness_run:
         value, count, n_flats, wit, solved = _minimal(ps, dim, True)
         if args.report_witnesses and dim == 3:
-            contributing = _contributing_json(*solved)
+            contributing = _text("contributing", _contributing_json, *solved)
     else:
         report = (min_volume_tetrahedra if dim == 3 else min_area_triangles)(ps, witnesses=False)
         value, count, n_flats = getattr(report, minimum), report.count, getattr(report, flats)
     elapsed = time.perf_counter() - start
     results = {
-        minimum: str(value),
-        f"{minimum}_sq": str(value * value),
+        minimum: _text(minimum, str, value),
+        f"{minimum}_sq": _text(f"{minimum}_sq", str, value * value),
         "count": count,
         products: (dim + 1) * count,
         flats: n_flats,
@@ -197,7 +209,8 @@ def _solve(ps, args, dim: int, witness_run) -> int:
         results["oracle"] = {
             "match": (value * value == oracle.min_squared_volume and count == oracle.count
                       and tuple(wit) == tuple(oracle.witnesses)),
-            "min_squared_volume": str(oracle.min_squared_volume),
+            "min_squared_volume": _text("oracle min_squared_volume", str,
+                                        oracle.min_squared_volume),
             "count": oracle.count,
         }
     parameters = {"oracle": args.oracle, "report_witnesses": args.report_witnesses}

@@ -5,11 +5,12 @@ values are arbitrary-precision rationals (`fractions.Fraction`), while the hot
 loops run on the denominator-cleared integers of integer_coordinates.  The fast
 reporter keys its angle order of directions by float slopes, checked with exact
 cross products, with exact Fractions where that check fails, and holds its
-integers as floats when all it forms are below 2^53, with a relative slack of
-2^-48 on the squared tests that round (reporter._window_pairs); no rounded
-value reaches a result.  Quantities that would be irrational (lengths, areas,
-k-volumes for k below the ambient dimension) are handled in squared form, which
-keeps them rational and preserves order on nonnegative values.
+integers as floats when a bound from its reduced spans keeps all it forms below
+2^53 (reporter._scan), with a relative slack of 2^-48 on the squared tests that
+round (reporter._window_pairs); no rounded value reaches a result.  Quantities
+that would be irrational (lengths, areas, k-volumes for k below the ambient
+dimension) are handled in squared form, which keeps them rational and preserves
+order on nonnegative values.
 """
 
 from __future__ import annotations
@@ -292,6 +293,8 @@ def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     g = math.gcd(*vec)
     for lead in vec:
         if lead:
+            if g == 1 and lead > 0:  # already primitive, as most normals are
+                return tuple(vec)
             g = g if lead > 0 else -g
             return tuple([c // g for c in vec])
     raise DegenerateInput("zero vector has no direction")

@@ -37,11 +37,14 @@ products sum to four times the count.  The 2D analogue counts every
 minimum-area triangle once per side and divides by three.
 
 Every result is exact.  Candidate measures are compared as integer cross
-products, and reported values are exact rationals.  When the reduced span
-keeps every integer the scan forms below 2^53, the scan holds them as
-floats, which store them exactly (_scan); only the squared tests of
-_window_pairs pass 2^53 and round, and a relative slack of 2^-48 on them
-lets a rounding delay a decision but never change one.  The angle order of
+products, and reported values are exact rationals.  When the reduced spans
+keep every integer the scan forms below 2^53, the scan holds them as
+floats, which store them exactly (_scan): in 3D the two widest spans bound
+them, so the prism, whose reduced box is flat, runs on floats as random
+and lattice sets do, and sets with coordinates near 10^20 or with many
+prime denominators stay on ints.  Only the squared tests of _window_pairs
+pass 2^53 and round, and a relative slack of 2^-48 on them lets a rounding
+delay a decision but never change one.  The angle order of
 a face's directions is keyed by floats: each direction by its slope
 wy / wx, a quotient of two exact integers that Python rounds correctly.
 Rounding is monotone, so directions with different floats are in their
@@ -271,33 +274,38 @@ def _window_pairs(view, a, u, heads, tails, weight, best, collect, slack):
             continue
         items.sort()
         # one pass in key order: each class's first item is its shortest, W_p;
-        # the certificate compares it with the previous class's W_p
+        # the certificate compares it with the previous class's W_p, and the
+        # first class's with the last at the wrap
         multi = {}
-        key = None
-        n_cls = n_lone = 0
         settled = True
-        for s, r, c, wx, wy in items:
+        if not items:
+            break
+        rest = iter(items)
+        key, fr, c0, fx, fy = next(rest)
+        px, py, rp, members = fx, fy, fr, None
+        for s, r, c, wx, wy in rest:
             if s == key:
                 if wx * py != wy * px:
                     break  # two directions share a float
                 if members is None:
                     members = multi[s] = [c0, c]
-                    n_lone -= 1
                 else:
                     members.append(c)
                 continue
-            if not n_cls:
-                fx, fy, fr = wx, wy, r
-            elif settled:
+            if settled:
                 cr = px * wy - py * wx
                 if cr * cr * (rp if rp < r else r) <= bound_sq * (r if rp < r else rp):
                     settled = False
             key, px, py, rp, c0, members = s, wx, wy, r, c, None
-            n_cls += 1
-            n_lone += 1
         else:
             break
         exact = True
+    # every item is a class of its own but the members after the first of each
+    # class in multi
+    n_cls = len(items)
+    if multi:
+        n_cls -= sum(map(len, multi.values())) - len(multi)
+    n_lone = n_cls - len(multi)
     for h, behind in tails:
         hi, hj, hk = view[h]
         wx, wy = uk * hi - ui * hk + e0, uk * hj - uj * hk + e1
@@ -471,11 +479,16 @@ def _scan(pts, weight, dim, collect):
     It runs on the per-axis reduced sites of _reduced, with smaller
     integers, and multiplies the least det back by their factor; the site
     indices stay, so the ties are those of pts, on which the records are
-    built.  With span the largest reduced coordinate, every integer the
-    scan forms is at most 8 span^(2 dim - 2): |W|^2 and the cross and dot
-    products of W at most 8 span^4, bound at most 6 span^4 + span, and in
-    2D span^2 in place of span^4.  Below _EXACT_FLOAT, 2^53, the sites go
-    to _window_pairs as floats, which hold each of them exactly.
+    built.  With S_x, S_y, S_z the reduced spans, the largest coordinates,
+    and P the product of the dim - 1 widest, every integer the scan forms
+    is at most 8 P^2.  In 3D an entry u_k (c - a)_i - (c - a)_k u_i of W is
+    at most 2 S_i S_k <= 2 P, so |W|^2 and the dot products of W are at most
+    8 P^2, and a cross product, |u_k| times a det of at most
+    3! S_x S_y S_z, at most 6 P^2.  The running minimum starts at the box
+    bound 3! S_x S_y S_z + 1, so bound is at most 6 P^2 + S_k.  In 2D,
+    W = c - a and P = max(S_x, S_y) bounds the same with room.  Below
+    _EXACT_FLOAT, 2^53, the sites go to _window_pairs as floats, which hold
+    each of them exactly.
 
     Each simplex is found once, at its face of dim - 1 smallest sites, by
     _window_pairs along u over the later sites, whose classes are the flats
@@ -526,11 +539,11 @@ def _scan(pts, weight, dim, collect):
     """
     pts, factor = _reduced(pts)
     m = len(pts)
-    span = max(map(max, pts))  # every reduced axis starts at 0
-    # above every |det|: 2 span^2 in 2D, (3 span^2)^(3/2) in 3D
-    best = math.factorial(dim) * span ** dim + 1
+    spans = [max(axis) for axis in zip(*pts)]  # every reduced axis starts at 0
+    best = math.factorial(dim) * math.prod(spans[:dim]) + 1  # above every |det|
     slack = 1
-    if 8 * span ** (2 * dim - 2) < _EXACT_FLOAT:  # it bounds every integer the scan forms
+    # with the dim - 1 widest spans: it bounds every integer the scan forms
+    if 8 * math.prod(sorted(spans)[1 - dim:]) ** 2 < _EXACT_FLOAT:
         pts, slack = [tuple(map(float, p)) for p in pts], _FLOAT_SLACK
     count = n_flats = 0
     ties = []

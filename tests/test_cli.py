@@ -46,6 +46,10 @@ COPLANAR = "dim 3\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n2 5 0\n"
 TETRA = "dim 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
 SQUARE = "dim 2\n0 0\n1 0\n0 1\n1 1\n"
 # a 2x2x2 cube has many minimum tetrahedra
+# TETRA and the point (1/77...7, 0, 0) of k sevens: the square of its least
+# volume has about 2k digits in its denominator, past Python's default limit
+# for integer strings, 4300 digits, at k = 2200 and under it at k = 1000
+WIDE = {k: f"{TETRA}1/{'7' * k} 0 0\n" for k in (1000, 2200)}
 CUBE = "dim 3\n" + "".join(f"{x} {y} {z}\n" for x in (0, 1) for y in (0, 1) for z in (0, 1))
 
 
@@ -263,8 +267,18 @@ EXIT_CODES = {
         4: None,  # gen verifies nothing
     },
     "minvol": {
-        0: [(TETRA, ["{points}", "--oracle", "--report-witnesses", "--check-charging"], ())],
+        0: [(TETRA, ["{points}", "--oracle", "--report-witnesses", "--check-charging"], ()),
+            (WIDE[1000], ["{points}", "--oracle", "--report-witnesses"], ())],
         2: [(SQUARE, ["{points}"], ()),
+            # a result too wide to print
+            (WIDE[2200], ["{points}"], (),
+             f"error: min_volume_sq: a numerator or denominator has more than "
+             f"{sys.get_int_max_str_digits()} digits, Python's limit for integer strings "
+             "(sys.get_int_max_str_digits())"),
+            (WIDE[2200], ["{points}", "--report-witnesses"], (),
+             f"error: contributing: a numerator or denominator has more than "
+             f"{sys.get_int_max_str_digits()} digits, Python's limit for integer strings "
+             "(sys.get_int_max_str_digits())"),
             # the parser refuses to compute 10**exponent
             ("dim 1\n1e3\n", ["{points}", "--oracle", "--report-witnesses", "--check-charging"],
              (), "error: line 2: bad rational value (decimal exponent refused in '1e3')")],

@@ -130,6 +130,9 @@ def test_primitive_vector():
     assert primitive_vector((4, -6, 2)) == (2, -3, 1)
     assert primitive_vector((-4, 6, -2)) == (2, -3, 1)
     assert primitive_vector((0, -5, 0)) == (0, 1, 0)
+    # gcd 1: returned as it is when it leads positive, negated when not
+    assert primitive_vector([0, 3, -5, 7]) == (0, 3, -5, 7)
+    assert primitive_vector([0, -3, 5, 7]) == (0, 3, -5, -7)
     with pytest.raises(DegenerateInput):
         primitive_vector((0, 0, 0))
 

@@ -752,15 +752,35 @@ def test_scan_is_the_same_on_floats_and_ints_on_tie_heavy_sets(ps, collect):
 @pytest.mark.parametrize("collect", [False, True])
 @pytest.mark.parametrize("ps", [
     gen_min_tetra_prism(32).points,
+    gen_min_tetra_prism(64).points,
     gen_lattice_slab3d(18),
     gen_lattice2d(36),
     gen_random_rational(40, 3, seed=11, bound=1000),
-], ids=["prism32", "lattice-slab18", "lattice2d-36", "random40"])
+], ids=["prism32", "prism64", "lattice-slab18", "lattice2d-36", "random40"])
 def test_scan_is_the_same_on_floats_and_ints(ps, collect):
+    """prism64 has reduced spans (2, 2, 12 303): it takes floats by the
+    product of its two widest spans, and would not by its widest alone."""
     assert_same_scan_on_floats_and_ints(ps, collect)
 
 
-# The largest reduced span whose scan takes floats, 8 span^(2 dim - 2) < 2^53.
+def assert_scan_matches_the_oracle(rows, on_floats):
+    """The reporter on the set rows, whose sites are their own reduced sites,
+    against the oracle, with the scan on floats or on ints as said."""
+    ps = PointSet(rows)
+    pts, _ = _scan_sites(ps)
+    assert reporter._reduced(pts) == (pts, 1)
+    (_, types), _ = _scan_on_both_number_types(ps, False)
+    assert types == ({float} if on_floats else {int})
+    report = (min_volume_tetrahedra if ps.dim == 3 else min_area_triangles)(ps)
+    oracle = min_volume_simplices(ps, ps.dim)
+    measure_sq = report.min_volume_sq if ps.dim == 3 else report.min_area_sq
+    assert (measure_sq, report.count, report.witnesses) == (
+        oracle.min_squared_volume, oracle.count, oracle.witnesses)
+
+
+# The largest reduced span of a cube, or of a square in 2D, whose scan takes
+# floats: 8 P^2 < 2^53 with P the product of the dim - 1 widest spans, which
+# is span^(dim - 1) here.
 FLOAT_SPAN = {3: 5792, 2: 2 ** 25 - 1}
 
 
@@ -776,16 +796,26 @@ def test_scan_at_the_float_limit_matches_the_oracle(dim, past, seed):
     rng = random.Random(seed)
     corners = list(itertools.product((0, span), repeat=dim))
     rows = corners + [tuple(rng.randint(0, span) for _ in range(dim)) for _ in range(16 - 2 * dim)]
-    ps = PointSet(rows)
-    pts, _ = _scan_sites(ps)
-    assert reporter._reduced(pts) == (pts, 1)
-    (_, types), _ = _scan_on_both_number_types(ps, False)
-    assert types == ({int} if past else {float})
-    report = (min_volume_tetrahedra if dim == 3 else min_area_triangles)(ps)
-    oracle = min_volume_simplices(ps, dim)
-    measure_sq = report.min_volume_sq if dim == 3 else report.min_area_sq
-    assert (measure_sq, report.count, report.witnesses) == (
-        oracle.min_squared_volume, oracle.count, oracle.witnesses)
+    assert_scan_matches_the_oracle(rows, on_floats=not past)
+
+
+# The largest S whose flat box of reduced spans (2, 2, S) takes floats:
+# P = 2 S, and 8 P^2 < 2^53 up to S = 2^24 - 1, far past FLOAT_SPAN[3].
+FLAT_FLOAT_SPAN = 2 ** 24 - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("past", [0, 1], ids=["floats", "ints"])
+def test_flat_box_at_the_float_limit_matches_the_oracle(past, seed):
+    """The 3D twin of the cube test above on the flat box (2, 2, S), S =
+    FLAT_FLOAT_SPAN and one more: its corners, (1, 1, 1), which gives each
+    axis offset gcd 1, and random points of the box."""
+    spans = (2, 2, FLAT_FLOAT_SPAN + past)
+    assert (8 * (2 * spans[2]) ** 2 < reporter._EXACT_FLOAT) == (not past)
+    rng = random.Random(seed)
+    rows = list(itertools.product(*[(0, s) for s in spans])) + [(1, 1, 1)]
+    rows += [tuple(rng.randint(0, s) for s in spans) for _ in range(7)]
+    assert_scan_matches_the_oracle(rows, on_floats=not past)
 
 
 @pytest.mark.parametrize("span", [FLOAT_SPAN[3], FLOAT_SPAN[3] + 1])
