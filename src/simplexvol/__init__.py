@@ -68,6 +68,7 @@ from .reporter import (
     MinVolumeReport,
     PlaneSummary,
     SlabRecord,
+    WitnessLimitExceeded,
     min_area_triangles,
     min_volume_tetrahedra,
 )

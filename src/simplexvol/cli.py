@@ -79,24 +79,25 @@ def _contributing_json(pts, idx, tied, scale) -> str:
     array that json.dumps(records, sort_keys=True) writes, formatted from
     the reporter's per-plane rows with no record objects: pts are the solved
     sites, idx[s] the input indices at site s and tied the tied site
-    simplices.  In key order a record's side fields (dist_sq,
-    nearest_count, side) fall among its plane's, so each row formats its
-    plane's fields once, as the two pieces of text between the side fields,
-    and each side is one f-string of its fields and those pieces."""
+    simplices.  In key order a record's side fields, nearest_count and
+    side, fall among its row's, whose sides share one dist_sq, so each row
+    formats its shared fields once, as the two pieces of text around
+    nearest_count, and each side is one f-string of its fields and those
+    pieces."""
 
     def exact(num, den):
         g = math.gcd(num, den)  # den > 0: the string of Fraction(num, den)
         return str(num // g) if g == den else f"{num // g}/{den // g}"
 
     records = []
-    for (_, ((n0, n1, n2), offset), _, _, n_points, n_facets, n_lines, measure, dist_den,
-         sides) in _rows(pts, idx, tied, scale):
-        counts = (f'", "min_area_count": {n_facets}, "min_area_sq": "{exact(*measure)}", '
-                  f'"n_lines": {n_lines}, "n_points": {n_points}, "nearest_count": ')
+    for (_, ((n0, n1, n2), offset), _, _, n_points, n_facets, n_lines, measure, dist, sides
+         ) in _rows(pts, idx, tied, scale):
+        head = (f'{{"dist_sq": "{exact(*dist)}", "min_area_count": {n_facets}, '
+                f'"min_area_sq": "{exact(*measure)}", "n_lines": {n_lines}, '
+                f'"n_points": {n_points}, "nearest_count": ')
         plane = f', "plane": {{"normal": [{n0}, {n1}, {n2}], "offset": {offset}}}, "side": "'
-        for above, _, nearest, dt_sq in sides:
-            records.append(f'{{"dist_sq": "{exact(dt_sq, dist_den)}{counts}{nearest}{plane}'
-                           f'{"above" if above else "below"}"}}')
+        for side, _, nearest in sides:
+            records.append(f'{head}{nearest}{plane}{side}"}}')
     return f"[{', '.join(records)}]"
 
 

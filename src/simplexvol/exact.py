@@ -293,8 +293,8 @@ def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     g = math.gcd(*vec)
     for lead in vec:
         if lead:
-            if g == 1 and lead > 0:  # already primitive, as most normals are
-                return tuple(vec)
+            if g == 1:  # already primitive, as most normals are
+                return tuple(vec) if lead > 0 else tuple([-c for c in vec])
             g = g if lead > 0 else -g
             return tuple([c // g for c in vec])
     raise DegenerateInput("zero vector has no direction")

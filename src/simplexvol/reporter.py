@@ -68,20 +68,21 @@ from __future__ import annotations
 import contextlib
 import gc
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
 
 from .exact import (
     AllDegenerate,
     DimensionMismatch,
+    GeometryError,
     HyperplaneKey,
     LineKey,
     PointSet,
-    face_normal,
     integer_coordinates,
-    line_key,  # unused here: perfbench/tracing.py patches it and plane_key on this module
+    # unused here: perfbench/tracing.py patches these three on this module
+    line_key,
     plane_key,
     primitive_vector,
 )
@@ -93,9 +94,21 @@ __all__ = [
     "LineSummary",
     "LineSideRecord",
     "MinAreaReport",
+    "WITNESS_LIMIT",
+    "WitnessLimitExceeded",
     "min_volume_tetrahedra",
     "min_area_triangles",
 ]
+
+# The most witnesses a run lists (min_volume_tetrahedra gives the memory
+# just under it): prism n = 140 has 499 800 minimum-volume tetrahedra, and
+# n = 144 has 544 320.
+WITNESS_LIMIT = 500_000
+
+
+class WitnessLimitExceeded(GeometryError):
+    """The minimum has more simplices than WITNESS_LIMIT, so their list is
+    refused; a run without witnesses still gives the count."""
 
 
 @dataclass(frozen=True)
@@ -474,7 +487,9 @@ def _scan(pts, weight, dim, collect):
     six times a tetrahedron's volume for dim == 3.  count is the number of
     index (dim + 1)-subsets attaining det, with weight the input points per
     site (0 when none spans), n_flats the number of spanned lines (2D) or
-    planes (3D), and ties, with collect, lists the tied site simplices.
+    planes (3D), and ties, with collect, lists the tied site simplices while
+    count is at most WITNESS_LIMIT: past it the minimum's ties go unlisted,
+    until a lower minimum starts the list and count again.
 
     It runs on the per-axis reduced sites of _reduced, with smaller
     integers, and multiplies the least det back by their factor; the site
@@ -588,7 +603,8 @@ def _scan(pts, weight, dim, collect):
                     best, count, ties = least, 0, []
                 face = (a, b) if dim == 3 else (a,)
                 count += math.prod(map(weight.__getitem__, face)) * pairs
-                ties += [face + (c, d) for cs, ds in tied for c in cs for d in ds]
+                if count <= WITNESS_LIMIT:  # past it the minimum's ties go unlisted
+                    ties += [face + (c, d) for cs, ds in tied for c in cs for d in ds]
         if rays:
             heads[a] = [c for c in heads[a] if c not in shadowed]
             tails[a] = rays
@@ -640,119 +656,149 @@ def _n_lines(pts, on):
 def _rows(pts, idx, tied, scale):
     """One row per hyperplane through a facet of the tied site simplices, in
     the order of the reports: (g, (normal, offset), on, facets, n_points,
-    n_facets, n_lines, (nn, measure_den), dist_den, sides).  The hyperplane
-    is g . P == t of the sorted (x, y, z) sites pts, g a primitive normal
-    (g2 == 0 for triangles of the sites (x, y, 0)), and (normal, offset) is
-    its key, (scale g, t) reduced.  on and facets are its sites and minimal
-    facets, n_points and n_facets their input points, idx[s] being those at
-    site s, and n_lines its spanned lines (None in 2D).  The facets' squared
-    measure is nn / measure_den, |N|^2 of their normal N over
-    (d - 1)!^2 scale^(2d - 2).  sides has an entry per side with a tie,
-    below first: (above, the nearest sites, their input points, dt^2), at a
-    squared distance of dt^2 / dist_den, with dist_den = |g|^2 scale^2.  3D
-    rows come by (g, t), 2D rows by the line's direction (g1, -g0), then t.
+    n_facets, n_lines, (nn, measure_den), (dt_sq, dist_den), sides).  The
+    hyperplane is g . P == t of the sorted (x, y, z) sites pts, g a primitive
+    normal (g2 == 0 for triangles of the sites (x, y, 0)), and
+    (normal, offset) is its key, (scale g, t) reduced.  on and facets are its
+    sites and minimal facets, n_points and n_facets their input points,
+    idx[s] being those at site s, and n_lines its spanned lines (None in 2D).
+    The facets' squared measure is nn / measure_den, |N|^2 of their normal N
+    over (d - 1)!^2 scale^(2d - 2), and the nearest sites are at the squared
+    distance dt_sq / dist_den, with dist_den = |g|^2 scale^2.  sides has an
+    entry per side with a tie, below first: ("below" or "above", the nearest
+    sites, their input points).  3D rows come by (g, t), 2D rows by the
+    line's direction (g1, -g0), then t.
 
     Every facet of a minimal simplex is a minimal facet of its hyperplane
     and its apex a nearest point on that side, and every minimal facet with
     a nearest point on a side that has a tie is a tie, so the facets of a
     hyperplane are all of its minimal facets, on either side, and the apexes
-    on a side all of that side's nearest points.
+    on a side all of that side's nearest points.  The facets share one
+    measure and the simplices one volume, so the apexes on both sides share
+    one distance.
 
     The rows come in one pass: ties, then facets, then hyperplanes.  A tie
     of _scan is its face's sites, ascending, then two later sites, so it is
-    sorted once those two are in order; it is unpacked as its sites, and
-    its d + 1 (facet, apex) pairs are grouped by facet.  Each distinct
-    facet then takes its primitive normal g, and goes under the key
-    (g0, g1, g2, t) with its apexes split by side: the apex is above iff
-    dt = t - g . apex < 0.  A hyperplane works out |N|^2 once, from the
-    facet that first reaches it.  A triangle face has N = face_normal and
-    g = primitive_vector(N), leading positive as in HyperplaneKey.  An edge
-    e, leading positive as the sites are sorted, has |N| = |e| and g the
-    quarter turn of primitive_vector(e), which is the LineKey direction, so
-    LineKey.side_of agrees with above.
+    sorted once those two are in order, and its d + 1 (facet, apex) pairs
+    are grouped by facet.  Each distinct facet then goes under the key
+    (g0, g1, g2, t) of its primitive normal g, with its apexes split by
+    side: the apex is above iff dt = t - g . apex < 0.  A triangle face
+    p0 p1 p2 has N = (p1 - p0) x (p2 - p0), written out, and g = N / c, c
+    the gcd of N's entries with the sign of its first nonzero entry, so g
+    leads positive as in HyperplaneKey.  An edge e, leading positive as the
+    sites are sorted, has N = (-e1, e0), its quarter turn, with |N| = |e|,
+    and g = N / gcd(e), which turns back to the LineKey direction, so
+    LineKey.side_of agrees with above.  A hyperplane takes |N|^2 from the
+    facet that first reaches it.
 
-    Each tie costs d + 1 facet lookups, each distinct facet one normal and
-    one hyperplane lookup, and each (facet, apex) pair a dot product.  Each
-    hyperplane costs one pass over the n sites (a normal's later
-    hyperplanes share one bucketing by g . p) and, in a plane with k > 3
-    sites, O(k^2) for its lines.  The rows hold only integers and site
-    lists: _contributing wraps them in record objects, and the command line
-    formats them straight into JSON text.
+    Each tie costs d + 1 facet lookups, each distinct facet a cross product,
+    a gcd and one hyperplane lookup, and each (facet, apex) pair a dot
+    product.  Each hyperplane costs one pass over the n sites (a normal's
+    later hyperplanes share one bucketing by g . p) and, in a plane with
+    k > 3 sites, O(k^2) for its lines.  A seed-1 perfbench verify3d input
+    (20 points of the 5^3 box) has on average 422 distinct facets, 314
+    hyperplanes and 277 site passes.  Timed in one process over that pool,
+    alternated input by input with revision 39ee8ef, which ran face_normal
+    and primitive_vector per facet, the command line's verification run
+    took 9.81 ms per input (11.02 ms at 39ee8ef): the scan and the witness
+    list 3.20 ms, these rows with their JSON records 3.57 ms (4.71 ms), the
+    oracle 1.31 ms, the charging check 0.94 ms and the JSON document
+    0.22 ms.  Library calls with witnesses, less the same calls without,
+    took 10.8 us per witness on the prism at n = 64 (12.2 us at 39ee8ef),
+    12.2 us at n = 96 (14.0 us) and 9.8 us on gen_lattice2d(196) (11.3 us;
+    medians of 9 rounds).  The rows hold only integers and site lists:
+    _contributing wraps them in record objects, and the command line formats
+    them straight into JSON text.
     """
     dim = len(tied[0]) - 1
     weight = [len(i) for i in idx]
     single = len(weight) == sum(weight)  # then input points are counted by length
     weigh = len if single else lambda sites: sum(map(weight.__getitem__, sites))
     measure_den = math.factorial(dim - 1) ** 2 * scale ** (2 * dim - 2)
-    apexes_of: dict[tuple, list[int]] = {}
-    for tie in tied:
-        if dim == 3:
-            a, b, c, d = tie
+    apexes_of: defaultdict[tuple, list[int]] = defaultdict(list)
+    if dim == 3:
+        for a, b, c, d in tied:
             if c > d:
                 c, d = d, c
-            pairs = ((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)
-        else:
-            a, b, c = tie
+            apexes_of[b, c, d].append(a)
+            apexes_of[a, c, d].append(b)
+            apexes_of[a, b, d].append(c)
+            apexes_of[a, b, c].append(d)
+    else:
+        for a, b, c in tied:
             if b > c:
                 b, c = c, b
-            pairs = ((b, c), a), ((a, c), b), ((a, b), c)
-        for facet, apex in pairs:
-            apexes = apexes_of.get(facet)
-            if apexes is None:
-                apexes_of[facet] = [apex]
-            else:
-                apexes.append(apex)
+            apexes_of[b, c].append(a)
+            apexes_of[a, c].append(b)
+            apexes_of[a, b].append(c)
     planes: dict[tuple, list] = {}
     for facet, apexes in apexes_of.items():
-        x, y, z = pts[facet[0]]
         if dim == 3:
             s0, s1, s2 = facet
-            normal = face_normal((pts[s0], pts[s1], pts[s2]))[0]
-            g0, g1, g2 = primitive_vector(normal)
-        else:  # the edge e stands in for N, which is e turned a quarter
-            normal = pts[facet[1]][0] - x, pts[facet[1]][1] - y
-            e0, e1 = primitive_vector(normal)
-            g0, g1, g2 = -e1, e0, 0
+            x, y, z = pts[s0]
+            x1, y1, z1 = pts[s1]
+            x2, y2, z2 = pts[s2]
+            u0, u1, u2 = x1 - x, y1 - y, z1 - z
+            v0, v1, v2 = x2 - x, y2 - y, z2 - z
+            n0, n1, n2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+            g = math.gcd(n0, n1, n2)
+            if n0 < 0 or not n0 and (n1 < 0 or not n1 and n2 < 0):
+                g = -g
+        else:  # N, the edge turned a quarter
+            x, y, z = pts[facet[0]]
+            x1, y1, _ = pts[facet[1]]
+            n0, n1, n2 = y - y1, x1 - x, 0
+            g = math.gcd(n0, n1)
+        g0, g1, g2 = n0 // g, n1 // g, n2 // g
         t = g0 * x + g1 * y + g2 * z
-        plane = planes.get((g0, g1, g2, t))
+        key = g0, g1, g2, t
+        plane = planes.get(key)
         if plane is None:
-            # its facets, |N|^2, and per side (below, above) the dt and the
-            # nearest sites, which all share it
-            plane = planes[g0, g1, g2, t] = [[facet], sum(map(mul, normal, normal)),
-                                             0, 0, set(), set()]
+            # its facets, |N|^2, the dt of an apex, whose square all its
+            # apexes share, and the apexes below and above
+            plane = planes[key] = [[facet], n0 * n0 + n1 * n1 + n2 * n2, 0, set(), set()]
         else:
             plane[0].append(facet)
         for apex in apexes:
             x, y, z = pts[apex]
             dt = t - g0 * x - g1 * y - g2 * z
-            plane[2 + (dt < 0)] = dt
-            plane[4 + (dt < 0)].add(apex)
+            if dt < 0:
+                plane[4].add(apex)
+            else:
+                plane[3].add(apex)
+        plane[2] = dt
     del apexes_of  # not held while the rows are consumed
-    dots_of = None
-    # a 2D key sorts by the direction (g1, -g0) of its line
+    sites = [(s,) + p for s, p in enumerate(pts)]  # (s, x, y, z)
+    normal = None
+    # a 3D key sorts as it is, a 2D key by the direction (g1, -g0) of its line
     for key in sorted(planes, key=None if dim == 3 else lambda key: (key[1], -key[0], key[3])):
         g0, g1, g2, t = key
+        facets, nn, dt, below, above = planes[key]
         # the sorted keys bring each normal's hyperplanes together
-        if dots_of != key[:3]:
-            dots_of, on_plane = key[:3], {}
-            on = [s for s, (x, y, z) in enumerate(pts) if g0 * x + g1 * y + g2 * z == t]
+        if normal != (g0, g1, g2):
+            normal, on_plane = (g0, g1, g2), {}
+            on = []
+            for s, x, y, z in sites:
+                if g0 * x + g1 * y + g2 * z == t:
+                    on.append(s)
         else:
             if not on_plane:
-                for s, (x, y, z) in enumerate(pts):
+                for s, x, y, z in sites:
                     on_plane.setdefault(g0 * x + g1 * y + g2 * z, []).append(s)
             on = on_plane[t]
-        facets, nn, dt_below, dt_above, below, above = planes[key]
         n_facets = len(facets) if single else sum(
             [math.prod(map(weight.__getitem__, facet)) for facet in facets])
         sides = []
         if below:
-            sides.append((False, below, weigh(below), dt_below * dt_below))
+            sides.append(("below", below, weigh(below)))
         if above:
-            sides.append((True, above, weigh(above), dt_above * dt_above))
+            sides.append(("above", above, weigh(above)))
         h = math.gcd(scale, t)  # g is primitive, so (scale g, t) reduces by gcd(scale, t)
-        yield (dots_of, ((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h), on,
-               facets, weigh(on), n_facets, _n_lines(pts, on) if dim == 3 else None,
-               (nn, measure_den), (g0 * g0 + g1 * g1 + g2 * g2) * scale * scale, sides)
+        yield (normal, ((scale * g0 // h, scale * g1 // h, scale * g2 // h), t // h), on,
+               facets, weigh(on), n_facets,
+               None if dim == 2 else 3 if len(on) == 3 else _n_lines(pts, on),
+               (nn, measure_den), (dt * dt, (g0 * g0 + g1 * g1 + g2 * g2) * scale * scale),
+               sides)
 
 
 def _contributing(pts, idx, tied, scale):
@@ -774,7 +820,7 @@ def _contributing(pts, idx, tied, scale):
         return value
 
     contrib = []
-    for (g, (normal, offset), on, facets, n_points, n_facets, n_lines, measure, dist_den,
+    for (g, (normal, offset), on, facets, n_points, n_facets, n_lines, measure, dist,
          sides) in _rows(pts, idx, tied, scale):
         incident = tuple(sorted([i for s in on for i in idx[s]]))
         wit = tuple(_expand(facets, idx, single))
@@ -787,10 +833,10 @@ def _contributing(pts, idx, tied, scale):
             summary = LineSummary(
                 LineKey((g[1], -g[0]), (Fraction(offset * n0, nn), Fraction(offset * n1, nn))),
                 incident, n_points, exact(*measure), n_facets, wit)
-        for above, apexes, count, dt_sq in sides:
+        dist_sq = exact(*dist)
+        for side, apexes, count in sides:
             nearest = tuple(sorted([i for s in apexes for i in idx[s]]))
-            contrib.append((summary, record(summary.key, "above" if above else "below",
-                                            exact(dt_sq, dist_den), count, nearest)))
+            contrib.append((summary, record(summary.key, side, dist_sq, count, nearest)))
     return tuple(contrib)
 
 
@@ -817,7 +863,8 @@ def _minimal(ps, dim, witnesses):
     triangles (dim 2) or minimum-volume tetrahedra (dim 3) of ps, the last
     two None without witnesses.  solved is (sites, input indices per site,
     tied site simplices, scale), from which _contributing builds the
-    records.  A 2D set is scanned as its sites at z == 0.
+    records.  A 2D set is scanned as its sites at z == 0.  With witnesses, a
+    count above WITNESS_LIMIT raises WitnessLimitExceeded.
     """
     if ps.dim != dim:
         raise DimensionMismatch(f"need a {dim}D point set, got dim {ps.dim}")
@@ -832,6 +879,8 @@ def _minimal(ps, dim, witnesses):
     if not count:
         raise AllDegenerate("all points are coplanar" if dim == 3 and n_flats
                             else "all points are collinear")
+    if witnesses and count > WITNESS_LIMIT:
+        raise WitnessLimitExceeded(f"refusing to list {count} witnesses (limit {WITNESS_LIMIT})")
     measure = Fraction(det, math.factorial(dim) * scale ** dim)
     if not witnesses:
         return measure, count, n_flats, None, None
@@ -860,7 +909,11 @@ def min_volume_tetrahedra(ps: PointSet, witnesses: bool = True) -> MinVolumeRepo
     position and O(n^2) at worst, on points along a few lines; otherwise the
     witness tetrahedra and the contributing (plane, slab) pairs are
     materialized from the tied points as well, with the cyclic garbage
-    collector paused (_gc_paused).
+    collector paused (_gc_paused).  A minimum of more than WITNESS_LIMIT
+    (500 000) tetrahedra then raises WitnessLimitExceeded: the scan lists no
+    ties past the limit, so the refusal costs about a witness-free run.  Just
+    under it, the prism at n = 140 (499 800 witnesses) peaked at 465 MB RSS
+    in a library call and at 392 MB through `minvol --report-witnesses`.
     """
     with _gc_paused() if witnesses else contextlib.nullcontext():
         vol, count, n_planes, wit, solved = _minimal(ps, 3, witnesses)
@@ -881,7 +934,12 @@ def min_area_triangles(ps: PointSet, witnesses: bool = True) -> MinAreaReport:
     narrow, is O(n^3).  Working memory is O(n); with witnesses the tied
     triangles are kept too, and the witness triangles and the contributing
     (line, side) pairs are materialized from them, with the cyclic garbage
-    collector paused (_gc_paused).
+    collector paused (_gc_paused).  A minimum of more than WITNESS_LIMIT
+    (500 000) triangles then raises WitnessLimitExceeded: the scan lists no
+    ties past the limit, so the refusal costs about a witness-free run.  Just
+    under it, gen_lattice2d(900) (489 900 witnesses) peaked at 499 MB RSS in
+    a library call and at 113 MB through `minarea --report-witnesses`, which
+    builds no records.
     """
     with _gc_paused() if witnesses else contextlib.nullcontext():
         area, count, n_lines, wit, solved = _minimal(ps, 2, witnesses)

@@ -218,6 +218,30 @@ def test_oracle_refused_above_limit(tmp_path, capsys, monkeypatch, command, dim)
     assert run(capsys, command, above, "--report-witnesses")[0] == 0
 
 
+@pytest.mark.parametrize("command, text, witness_flags", [
+    ("minvol", CUBE, ("--report-witnesses", "--oracle", "--check-charging")),
+    ("minarea", SQUARE, ("--report-witnesses", "--oracle")),
+], ids=["minvol", "minarea"])
+def test_witness_limit_refuses_a_longer_list(tmp_path, capsys, monkeypatch, command, text,
+                                             witness_flags):
+    path = write_points(tmp_path, "points.txt", text)
+    code, out, _ = run(capsys, command, path, "--report-witnesses")
+    assert code == 0
+    results = report_of(out)["results"]
+    count = results["count"]
+    monkeypatch.setattr(reporter, "WITNESS_LIMIT", count)
+    code, out, _ = run(capsys, command, path, "--report-witnesses")
+    assert code == 0 and report_of(out)["results"] == results
+    monkeypatch.setattr(reporter, "WITNESS_LIMIT", count - 1)
+    for flag in witness_flags:
+        code, out, err = run(capsys, command, path, flag)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: refusing to list {count} witnesses (limit {count - 1})\n"
+    # a run without witnesses still gives the count
+    code, out, _ = run(capsys, command, path)
+    assert code == 0 and report_of(out)["results"]["count"] == count
+
+
 def test_minvol_oracle_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     path = write_points(tmp_path, "tetra.txt", TETRA)
     monkeypatch.setattr(bruteforce, "min_volume_simplices", mismatching_oracle)

@@ -18,6 +18,7 @@ from simplexvol import (
     PlaneSummary,
     PointSet,
     SlabRecord,
+    WitnessLimitExceeded,
     gen_lattice2d,
     gen_lattice_slab3d,
     gen_min_ksimplex_lines,
@@ -259,7 +260,11 @@ class TestMinVolumeTetrahedra:
         PRIME_DENOMINATORS_3D,
         # a small lattice: many tied planes, both sides of most of them
         PointSet(list(itertools.product((0, 1, 2), (0, 1), (0, 1)))),
-    ], ids=["random", "prime-denominators", "lattice"])
+        # axes 2, 1 and 3 apart: of the 140 facets of its ties, 68 have
+        # normals with a gcd above 1, 70 normals that lead negative and 44
+        # normals with a first entry of 0
+        PointSet(list(itertools.product((0, 2), (0, 1, 3), (0, 1)))),
+    ], ids=["random", "prime-denominators", "lattice", "uneven-lattice"])
     def test_contributing_plane_keys_and_sides(self, ps):
         report = min_volume_tetrahedra(ps)
         sides = set()
@@ -456,7 +461,11 @@ CONTRIBUTING_2D = pytest.mark.parametrize("ps", [
               (F(6, 5), F(8, 7))]),
     # a small lattice: many tied lines, both sides of most of them
     PointSet(list(itertools.product(range(3), range(4)))),
-], ids=["random", "prime-denominators", "lattice"])
+    # axes 2 and 3 apart: of the 28 edges of its ties, 16 have normals with a
+    # gcd above 1, 14 normals that lead negative and 6 normals with a first
+    # entry of 0
+    PointSet(list(itertools.product((0, 2, 4), (0, 3, 6)))),
+], ids=["random", "prime-denominators", "lattice", "uneven-lattice"])
 
 
 def check_contributing_2d(ps):
@@ -944,3 +953,42 @@ def test_constant_axis_still_reports_coplanar():
     assert {p[1] for p in reduced} == {0} and factor == 3 * 3
     with pytest.raises(AllDegenerate, match="all points are coplanar"):
         min_volume_tetrahedra(ps)
+
+
+@pytest.mark.parametrize("report, ps", [
+    (min_volume_tetrahedra, gen_min_tetra_prism(16).points),
+    (min_area_triangles, gen_lattice2d(16)),
+], ids=["3d", "2d"])
+def test_witness_limit_refuses_only_a_longer_list(monkeypatch, report, ps):
+    full = report(ps)
+    monkeypatch.setattr(reporter, "WITNESS_LIMIT", full.count)
+    assert report(ps) == full
+    monkeypatch.setattr(reporter, "WITNESS_LIMIT", full.count - 1)
+    refusal = rf"^refusing to list {full.count} witnesses \(limit {full.count - 1}\)$"
+    with pytest.raises(WitnessLimitExceeded, match=refusal):
+        report(ps)
+    # the count needs no list
+    lean = report(ps, witnesses=False)
+    assert lean.count == full.count and lean.witnesses is None
+
+
+@pytest.mark.parametrize("report, dim, late, early", [
+    # the 2x2x2 cube has 56 tetrahedra of volume 1/6; the small corner, 1/48
+    (min_volume_tetrahedra, 3, [(10 + x, y, z) for x, y, z in itertools.product((0, 1), repeat=3)],
+     [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 2), 0), (0, 0, F(1, 2))]),
+    # the 3x3 grid has 32 triangles of area 1/2; the small corner, 1/8
+    (min_area_triangles, 2, [(10 + x, y) for x, y in itertools.product(range(3), repeat=2)],
+     [(0, 0), (F(1, 2), 0), (0, F(1, 2))]),
+], ids=["3d", "2d"])
+def test_a_lower_minimum_lists_its_ties_past_an_overflowed_one(monkeypatch, report, dim, late,
+                                                               early):
+    """The scan takes the faces of the late sites, the largest, first, so their
+    minimum passes a limit of 1 before the early corner's lower minimum
+    starts the list again."""
+    assert report(PointSet(late), witnesses=False).count > 1
+    ps = PointSet(early + late)
+    monkeypatch.setattr(reporter, "WITNESS_LIMIT", 1)
+    got = report(ps)
+    oracle = min_volume_simplices(ps, dim)
+    assert got.count == oracle.count == 1
+    assert got.witnesses == oracle.witnesses
